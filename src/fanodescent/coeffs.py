@@ -5,7 +5,7 @@ iterated minimal family in terms of the Chern scalars of the starting
 manifold (all curve degrees past the first step equal to 1).  Three
 independent routes compute the same numbers:
 
-* a Bernoulli-convolution recursion over the iteration depth i,
+* a Bernoulli convolution over the iteration depth i, filled bottom-up,
 * closed forms as reciprocal sums over integer compositions (j = 1, 2),
 * coefficients of a falling-factorial generating polynomial (j = 1, 2).
 
@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
-from .exact import binomial, compositions, elementary_symmetric
+from .exact import compositions, elementary_symmetric, extend_bernoulli
 
 __all__ = [
     "Polynomial",
@@ -127,7 +127,7 @@ class Polynomial:
 
 
 class CoeffTable:
-    """Memoized table of descent coefficients.
+    """Table of descent coefficients, filled bottom-up in integer rows.
 
     ``coefficient(i, j, k)`` is the weight of the degree-k Chern scalar
     of the starting manifold inside the degree-j Chern scalar of its
@@ -135,52 +135,113 @@ class CoeffTable:
     i = 0 is the identity descent (weight 1 exactly when k = j), which
     keeps certificate replays uniform at the first level.
 
-    The table grows lazily and entries never change once computed, so a
-    built table can be read concurrently.  The Bernoulli prefix may be
-    overridden (used by the corruption hook in the command-line tool);
-    lazily extended entries then follow consistently from the override.
+    Level i is built from level i - 1 alone: row j of level i is
+    ``sum_{m=0}^{j} b_m * row(i-1, j+1-m)`` with the fixed weights
+    ``b_m = (-1)^m B_m / m!``, rows padded with zeros to length i + j.
+    Every level holds the rows 1..R for some R.  A read that misses at
+    (i, j) extends the band below it, working upward from level 0: level
+    i - d gets rows 1..j + d, which is exactly what row (i, j) pulls in.
+    No step recurses, so depth is bounded by memory, not by the stack.
+
+    A row is stored as integer numerators over one common denominator,
+    reduced by one gcd pass; each term of a row costs one big-integer
+    multiply-add per entry instead of a Fraction normalisation.  The
+    Fraction entries of a row are built once, the first time the row is
+    read, so reads are plain list indexing and return the same objects.
+
+    Entries never change once computed, so threads may share a table
+    for reads inside a band that is already filled; growing the band is
+    not thread-safe.  The Bernoulli prefix may be overridden (used by
+    the corruption hook in the command-line tool); lazily extended
+    entries then follow consistently from the override.
     """
 
     def __init__(self, bernoulli: Sequence[Fraction] | None = None):
         self._bernoulli = [Fraction(b) for b in bernoulli] if bernoulli else [Fraction(1)]
         if self._bernoulli[0] != 1:
             raise ValueError("B_0 must be 1")
-        self._memo: dict[tuple[int, int, int], Fraction] = {}
+        # b_m as (numerator, denominator) pairs.
+        self._weights: list[tuple[int, int]] = []
+        # Per level, the rows 1..R as (numerators, common denominator).
+        self._rows: list[list[tuple[list[int], int]]] = []
+        # Per level, the same rows as Fractions, or None until first read.
+        self._fractions: list[list[list[Fraction] | None]] = []
 
     def bernoulli_number(self, m: int) -> Fraction:
-        if m < 0:
-            raise ValueError(f"Bernoulli index must be >= 0, got {m}")
-        while len(self._bernoulli) <= m:
-            top = len(self._bernoulli)
-            acc = sum(binomial(top + 1, j) * self._bernoulli[j] for j in range(top))
-            self._bernoulli.append(Fraction(-acc, top + 1))
-        return self._bernoulli[m]
+        return extend_bernoulli(self._bernoulli, m)[m]
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         if i < 0 or j < 1:
             raise ValueError(f"coefficient indices require i >= 0 and j >= 1, got ({i}, {j})")
         if not 1 <= k <= i + j:
             raise ValueError(f"k = {k} out of range [1, {i + j}] for (i, j) = ({i}, {j})")
-        if i == 0:
-            return Fraction(1) if k == j else Fraction(0)
-        key = (i, j, k)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if i == 1:
-            m = j + 1 - k
-            value = (-1) ** m * self.bernoulli_number(m) / factorial(m)
-        else:
-            value = Fraction(0)
-            for m in range(min(j, i + j - k) + 1):
-                value += (
-                    (-1) ** m
-                    * self.bernoulli_number(m)
-                    / factorial(m)
-                    * self.coefficient(i - 1, j + 1 - m, k)
-                )
-        self._memo[key] = value
-        return value
+        try:
+            return self._fractions[i][j - 1][k - 1]
+        except (IndexError, TypeError):
+            return self._row(i, j)[k - 1]
+
+    def _row(self, i: int, j: int) -> list[Fraction]:
+        """Row (i, j) as Fractions, filling the band below it first."""
+        self._fill(i, j)
+        fractions = self._fractions[i]
+        if fractions[j - 1] is None:
+            nums, den = self._rows[i][j - 1]
+            fractions[j - 1] = [Fraction(n, den) for n in nums]
+        return fractions[j - 1]
+
+    def _fill(self, i: int, j: int) -> None:
+        """Give level i - d the rows 1..j + d for d = i, ..., 0."""
+        while len(self._rows) <= i:
+            self._rows.append([])
+            self._fractions.append([])
+        weights = self._weights
+        if len(weights) <= i + j:
+            extend_bernoulli(self._bernoulli, i + j)
+            for m in range(len(weights), i + j + 1):
+                b = (-1) ** m * self._bernoulli[m] / factorial(m)
+                weights.append((b.numerator, b.denominator))
+        level0 = self._rows[0]
+        for r in range(len(level0) + 1, i + j + 1):
+            level0.append(([0] * (r - 1) + [1], 1))
+            self._fractions[0].append(None)
+        for level in range(1, i + 1):
+            prev, rows = self._rows[level - 1], self._rows[level]
+            for r in range(len(rows) + 1, j + i - level + 1):
+                rows.append(_convolve(weights, prev, r))
+                self._fractions[level].append(None)
+
+
+def _convolve(
+    weights: list[tuple[int, int]], prev: list[tuple[list[int], int]], j: int
+) -> tuple[list[int], int]:
+    """Row j of a level from the rows of the level below, in lowest terms.
+
+    Terms with a zero weight are skipped by value: under an overridden
+    Bernoulli prefix the odd B_m for m >= 3 need not vanish.
+    """
+    terms = []
+    common = 1
+    for m in range(j + 1):
+        num, den = weights[m]
+        if num:
+            row_nums, row_den = prev[j - m]
+            scale = den * row_den
+            # Pairwise: lcm(*generator) builds resized argument tuples,
+            # which pile up in the interpreter's tuple free lists.
+            common = lcm(common, scale)
+            terms.append((num, scale, row_nums))
+    # m = 0 has weight 1 and the full row length, so it seeds the sum.
+    num, scale, row_nums = terms[0]
+    factor = num * (common // scale)
+    acc = [factor * n for n in row_nums]
+    for num, scale, row_nums in terms[1:]:
+        factor = num * (common // scale)
+        acc[: len(row_nums)] = [a + factor * n for a, n in zip(acc, row_nums)]
+    g = gcd(common, *acc)
+    if g != 1:
+        acc = [a // g for a in acc]
+        common //= g
+    return acc, common
 
 
 _SHARED = CoeffTable()

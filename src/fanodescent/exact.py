@@ -19,6 +19,7 @@ __all__ = [
     "binomial",
     "compositions",
     "elementary_symmetric",
+    "extend_bernoulli",
 ]
 
 Rational = Fraction
@@ -31,6 +32,21 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def extend_bernoulli(values: list[Fraction], max_m: int) -> list[Fraction]:
+    """Extend a Bernoulli prefix in place through B_max_m and return it.
+
+    New entries come from the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0
+    for m >= 1, applied to whatever prefix is given, so an overridden
+    prefix (say with a flipped B_1) extends consistently from itself.
+    """
+    if max_m < 0:
+        raise ValueError(f"max_m must be >= 0, got {max_m}")
+    for m in range(len(values), max_m + 1):
+        acc = sum(binomial(m + 1, j) * values[j] for j in range(m))
+        values.append(Fraction(-acc, m + 1))
+    return values
+
+
 def bernoulli_table(max_m: int) -> list[Fraction]:
     """Bernoulli numbers B_0 .. B_max_m as exact fractions.
 
@@ -39,16 +55,10 @@ def bernoulli_table(max_m: int) -> list[Fraction]:
     t/(1 - e^-t)) is deliberately rejected: a sign flip here silently
     corrupts every descent coefficient built on top of this table.
 
-    Values come from the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 for
-    m >= 1; the zero entries at odd m >= 3 fall out of it exactly.
+    Values come from ``extend_bernoulli`` starting at B_0 = 1; the zero
+    entries at odd m >= 3 fall out of the recurrence exactly.
     """
-    if max_m < 0:
-        raise ValueError(f"max_m must be >= 0, got {max_m}")
-    values = [Fraction(1)]
-    for m in range(1, max_m + 1):
-        acc = sum(binomial(m + 1, j) * values[j] for j in range(m))
-        values.append(Fraction(-acc, m + 1))
-    return values
+    return extend_bernoulli([Fraction(1)], max_m)
 
 
 def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
