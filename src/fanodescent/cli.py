@@ -32,21 +32,16 @@ from .descent import (
 )
 from .exact import bernoulli_table
 from .theorems import (
+    THEOREMS,
     CertificateError,
-    THM4,
-    THM5,
-    THM5_STRONG,
     check_hypotheses,
     max_m,
-    proof_trace_thm4,
-    proof_trace_thm5,
+    proof_trace,
 )
 
 __all__ = ["RunReport", "main", "run", "parse_split_vector_file"]
 
 SCHEMA_VERSION = 1
-
-_THEOREM_FLAGS = {"thm4": THM4, "thm5": THM5, "thm5-strong": THM5_STRONG}
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         "proof-trace certificate.",
     )
     p_check.add_argument("name", nargs="*", help="manifold family name and parameters")
-    p_check.add_argument("--theorem", required=True, choices=sorted(_THEOREM_FLAGS),
+    p_check.add_argument("--theorem", required=True,
+                         choices=[t.replace("_", "-") for t in THEOREMS],
                          help="which gate to check")
     p_check.add_argument("--m", type=_positive_int, default=None,
                          help="gate level; omit to report the maximal passing m")
@@ -424,7 +420,7 @@ def render_chain(report: RunReport) -> str:
 
 def cmd_check(args: argparse.Namespace) -> RunReport:
     vector, entry, params = _resolve_vector(args)
-    theorem = _THEOREM_FLAGS[args.theorem]
+    theorem = args.theorem.replace("-", "_")
     params = dict(params)
     params["theorem"] = args.theorem
     params["m"] = args.m
@@ -459,10 +455,7 @@ def cmd_check(args: argparse.Namespace) -> RunReport:
     if not report.passed:
         return RunReport("check", params, results, "fail", 1)
 
-    if theorem == THM4:
-        cert = proof_trace_thm4(vector, args.m)
-    else:
-        cert = proof_trace_thm5(vector, args.m, strong=(theorem == THM5_STRONG))
+    cert = proof_trace(vector, args.m, theorem)
     results["certificate"] = {
         "mode": cert.mode,
         "all_positive": cert.all_positive,

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import Sequence
 
-from .exact import compositions, elementary_symmetric, extend_bernoulli
+from .exact import as_rational, compositions, elementary_symmetric, extend_bernoulli
 
 __all__ = [
     "Polynomial",
@@ -52,7 +52,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coefficients: Sequence[Fraction | int] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [as_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))

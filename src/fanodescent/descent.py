@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 from .coeffs import CoeffTable, shared_table
+from .exact import as_rational
 
 __all__ = [
     "DescentError",
@@ -30,6 +32,7 @@ __all__ = [
     "INSUFFICIENT_DATA",
     "NEGATIVE_DIMENSION",
     "family_dimension",
+    "iterate_scalar",
     "descend",
     "descend_direct",
     "descend_chain",
@@ -80,7 +83,7 @@ class SplitChernVector:
     label: str | None = None
 
     def __post_init__(self):
-        coerced = tuple(Fraction(s) for s in self.scalars)
+        coerced = tuple(as_rational(s) for s in self.scalars)
         if not coerced:
             raise ValueError("a split Chern vector needs at least one scalar")
         object.__setattr__(self, "scalars", coerced)
@@ -134,20 +137,59 @@ class ChainReport:
 
 
 def _check_degree(a: int) -> None:
-    if not isinstance(a, int) or a < 1:
+    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise ValueError(f"curve degree must be a positive integer, got {a!r}")
+
+
+def _family_dim(degree: Fraction, carried: int | None = None, where: str = "") -> int:
+    """The family dimension degree - 2 from an anticanonical degree.
+
+    The degree must be an integer.  When ``carried`` is given, a
+    positive dimension d also needs ch_{d+1} among the ``carried``
+    scalars of the source, which the descended scalars consume.
+    """
+    if degree.denominator != 1:
+        raise NonIntegralDimensionError(
+            f"anticanonical degree {degree}{where} is not an integer; "
+            "the model is inconsistent for this curve degree"
+        )
+    d = int(degree) - 2
+    if carried is not None and d >= 1 and carried < d + 1:
+        raise InsufficientScalarsError(
+            f"descent to a dimension-{d} family{where} needs ch_{d + 1}, but "
+            f"its source only carries scalars up to degree {carried}",
+            family_dim=d,
+        )
+    return d
 
 
 def family_dimension(v: SplitChernVector, a: int) -> int:
     """Dimension of the minimal family of degree-a rational curves: r_1*a - 2."""
     _check_degree(a)
-    degree = v.ch(1) * a
-    if degree.denominator != 1:
-        raise NonIntegralDimensionError(
-            f"anticanonical degree r_1*a = {degree} is not an integer; "
-            "the model is inconsistent for this curve degree"
-        )
-    return int(degree) - 2
+    return _family_dim(v.ch(1) * a)
+
+
+def iterate_scalar(
+    x: Sequence[Fraction], i: int, j: int, table: CoeffTable | None = None
+) -> Fraction:
+    """The degree-j scalar of the i-th iterated family:
+
+        -i/j! + sum_{k=1}^{i+j} c(i, j, k) * x[k-1],
+
+    where x lists at least i + j source scalars, already weighted by
+    the powers of the first curve degree (r_k * a^k).  Depth 0 is the
+    identity.
+    """
+    tab = table or shared_table()
+    s = Fraction(-i, factorial(j))
+    for k in range(1, i + j + 1):
+        s += tab.coefficient(i, j, k) * x[k - 1]
+    return s
+
+
+def _weighted(v: SplitChernVector, a: int, top: int) -> list[Fraction]:
+    """r_k * a^k for k = 1..top."""
+    return [r * a**k for k, r in enumerate(v.scalars[:top], start=1)]
 
 
 def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> DescentStep:
@@ -161,24 +203,13 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
     InsufficientScalarsError.  For d <= 0 the step records the dimension
     and carries no vector.
     """
-    tab = table or shared_table()
-    d = family_dimension(v, a)
+    _check_degree(a)
+    d = _family_dim(v.ch(1) * a, v.dim)
     if d <= 0:
         return DescentStep(a, d, None)
-    if v.dim < d + 1:
-        raise InsufficientScalarsError(
-            f"descent to a dimension-{d} family needs ch_{d + 1}, but the "
-            f"vector only carries scalars up to degree {v.dim}",
-            family_dim=d,
-        )
-    powers = [v.ch(k) * Fraction(a) ** k for k in range(1, d + 2)]
-    scalars = []
-    for j in range(1, d + 1):
-        s = Fraction(-1, factorial(j))
-        for k in range(1, j + 2):
-            s += tab.coefficient(1, j, k) * powers[k - 1]
-        scalars.append(s)
-    return DescentStep(a, d, SplitChernVector(tuple(scalars)))
+    x = _weighted(v, a, d + 1)
+    scalars = tuple(iterate_scalar(x, 1, j, table) for j in range(1, d + 1))
+    return DescentStep(a, d, SplitChernVector(scalars))
 
 
 def descend_direct(
@@ -197,41 +228,19 @@ def descend_direct(
         raise ValueError(f"iteration depth must be >= 1, got {i}")
     _check_degree(a1)
     tab = table or shared_table()
-    a = Fraction(a1)
-    d_prev = v.dim
-    d = 0
+    x = _weighted(v, a1, v.dim)
+    d = v.dim
     for level in range(1, i + 1):
-        if level == 1:
-            s1 = v.ch(1) * a
-        else:
-            s1 = Fraction(-(level - 1)) + sum(
-                tab.coefficient(level - 1, 1, k) * v.ch(k) * a**k
-                for k in range(1, level + 1)
-            )
-        if s1.denominator != 1:
-            raise NonIntegralDimensionError(
-                f"anticanonical degree {s1} at level {level} is not an integer"
-            )
-        d = int(s1) - 2
+        # Curves at this level have anticanonical degree r_1 of the member above.
+        d = _family_dim(iterate_scalar(x, level - 1, 1, tab), d, f" at level {level}")
         if d < 1:
             raise DescentError(
                 f"chain reaches family dimension {d} at level {level}; "
                 f"no dimension-{i} iterate exists"
             )
-        if d_prev < d + 1:
-            raise InsufficientScalarsError(
-                f"level {level} needs ch_{d + 1} of the previous member, "
-                f"which only carries scalars up to degree {d_prev}",
-                family_dim=d,
-            )
-        d_prev = d
-    scalars = []
-    for j in range(1, d + 1):
-        s = Fraction(-i, factorial(j))
-        for k in range(1, i + j + 1):
-            s += tab.coefficient(i, j, k) * v.ch(k) * a**k
-        scalars.append(s)
-    return SplitChernVector(tuple(scalars))
+    return SplitChernVector(
+        tuple(iterate_scalar(x, i, j, tab) for j in range(1, d + 1))
+    )
 
 
 def descend_chain(

@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "Rational",
+    "as_rational",
     "bernoulli_table",
     "binomial",
     "compositions",
@@ -23,6 +24,20 @@ __all__ = [
 ]
 
 Rational = Fraction
+
+
+def as_rational(value: Fraction | int | str) -> Fraction:
+    """``Fraction(value)``, refusing floats and bools.
+
+    A binary float is not the rational it was written as, and a bool is
+    not a scalar; both are rejected rather than silently coerced.
+    """
+    if isinstance(value, (bool, float)):
+        raise ValueError(
+            f"{value!r} is not an exact rational; give an int, a Fraction "
+            "or a 'p/q' string"
+        )
+    return Fraction(value)
 
 
 def binomial(n: int, k: int) -> int:

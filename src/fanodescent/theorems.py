@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .coeffs import CoeffTable, shared_table
-from .descent import SplitChernVector
+from .descent import SplitChernVector, iterate_scalar
 
 __all__ = [
     "THM4",
@@ -43,6 +43,7 @@ __all__ = [
     "CertificateError",
     "CertificateLevel",
     "Certificate",
+    "proof_trace",
     "proof_trace_thm4",
     "proof_trace_thm5",
 ]
@@ -59,15 +60,65 @@ COVERED_BY_PROJECTIVE_M_MINUS_1 = "covered_by_projective_m_minus_1"
 COVERED_BY_PROJECTIVE_M = "covered_by_projective_m"
 
 
+@dataclass(frozen=True)
+class _Gate:
+    """The rules of one gate, as data.
+
+    The threshold on r_k at level m is (slope*m + offset(k))/k!, with
+    offset(k) = base - 2^k when ``dyadic`` and base otherwise.  A pass
+    yields ``conclusions``; the caller assertion named by ``assertion``
+    (a keyword of ``check_hypotheses``) adds ``asserted``.  The
+    certificate asserts the t2 bound at every level when
+    ``t2_every_level``, else only while i + 1 < m, and strictly (> 1)
+    when ``t2_strict``.
+    """
+
+    slope: int
+    base: int
+    dyadic: bool
+    conclusions: frozenset[str]
+    assertion: str
+    asserted: str
+    t2_every_level: bool
+    t2_strict: bool
+
+    def offset(self, k: int) -> int:
+        return self.base - 2**k if self.dyadic else self.base
+
+    def threshold(self, m: int, k: int) -> Fraction:
+        return Fraction(self.slope * m + self.offset(k), factorial(k))
+
+
+_THM5_CONCLUSIONS = frozenset(
+    {N_UPPER_GE_M, COVERED_BY_RATIONAL_M_FOLDS, COVERED_BY_PROJECTIVE_M_MINUS_1}
+)
+# Fields in order: slope, base, dyadic, conclusions, assertion, asserted,
+# t2_every_level, t2_strict.
+_GATES = {
+    THM4: _Gate(
+        1, 1, False, frozenset({N_LOWER_GE_M, COVERED_BY_RATIONAL_M_FOLDS}),
+        "degree_one_cover", COVERED_BY_PROJECTIVE_M, True, True,
+    ),
+    THM5: _Gate(
+        2, 1, True, _THM5_CONCLUSIONS,
+        "all_families_degree_one", N_LOWER_GE_M, False, True,
+    ),
+    THM5_STRONG: _Gate(
+        2, 2, True, _THM5_CONCLUSIONS | {COVERED_BY_PROJECTIVE_M},
+        "all_families_degree_one", N_LOWER_GE_M, True, False,
+    ),
+}
+
+
+def _gate(theorem: str) -> _Gate:
+    if theorem not in THEOREMS:
+        raise ValueError(f"unknown theorem gate {theorem!r}; choose from {THEOREMS}")
+    return _GATES[theorem]
+
+
 def hypothesis_threshold(theorem: str, m: int, k: int) -> Fraction:
     """The lower bound the gate demands of r_k at level m."""
-    if theorem == THM4:
-        return Fraction(m + 1, factorial(k))
-    if theorem == THM5:
-        return Fraction(2 * m + 1 - 2**k, factorial(k))
-    if theorem == THM5_STRONG:
-        return Fraction(2 * m + 2 - 2**k, factorial(k))
-    raise ValueError(f"unknown theorem gate {theorem!r}; choose from {THEOREMS}")
+    return _gate(theorem).threshold(m, k)
 
 
 @dataclass(frozen=True)
@@ -90,21 +141,6 @@ class HypothesisReport:
     conclusions: frozenset[str]
 
 
-def _margin_rows(v: SplitChernVector, m: int, theorem: str) -> tuple[MarginRow, ...]:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if m > v.dim:
-        raise ValueError(
-            f"m = {m} exceeds the manifold dimension {v.dim}: the degree-k "
-            "Chern scalar vanishes for k > dim, so a positive threshold "
-            "there can never be met"
-        )
-    return tuple(
-        MarginRow(k, hypothesis_threshold(theorem, m, k), v.ch(k))
-        for k in range(1, m + 1)
-    )
-
-
 def check_thm4(
     v: SplitChernVector, m: int, degree_one_cover: bool = False
 ) -> HypothesisReport:
@@ -115,14 +151,7 @@ def check_thm4(
     If the caller additionally asserts a cover by degree-1 rational
     curves, the cover upgrades to projective m-spaces.
     """
-    per_k = _margin_rows(v, m, THM4)
-    passed = all(row.margin >= 0 for row in per_k)
-    conclusions: set[str] = set()
-    if passed:
-        conclusions = {N_LOWER_GE_M, COVERED_BY_RATIONAL_M_FOLDS}
-        if degree_one_cover:
-            conclusions.add(COVERED_BY_PROJECTIVE_M)
-    return HypothesisReport(THM4, m, per_k, passed, frozenset(conclusions))
+    return check_hypotheses(v, m, THM4, degree_one_cover=degree_one_cover)
 
 
 def check_thm5(
@@ -141,21 +170,10 @@ def check_thm5(
     projective m-spaces.  ``N_lower_ge_m`` needs the further caller
     assertion that every minimal family parametrizes degree-1 curves.
     """
-    theorem = THM5_STRONG if strong else THM5
-    per_k = _margin_rows(v, m, theorem)
-    passed = all(row.margin >= 0 for row in per_k)
-    conclusions: set[str] = set()
-    if passed:
-        conclusions = {
-            N_UPPER_GE_M,
-            COVERED_BY_RATIONAL_M_FOLDS,
-            COVERED_BY_PROJECTIVE_M_MINUS_1,
-        }
-        if strong:
-            conclusions.add(COVERED_BY_PROJECTIVE_M)
-        if all_families_degree_one:
-            conclusions.add(N_LOWER_GE_M)
-    return HypothesisReport(theorem, m, per_k, passed, frozenset(conclusions))
+    return check_hypotheses(
+        v, m, THM5_STRONG if strong else THM5,
+        all_families_degree_one=all_families_degree_one,
+    )
 
 
 def check_hypotheses(
@@ -165,30 +183,51 @@ def check_hypotheses(
     degree_one_cover: bool = False,
     all_families_degree_one: bool = False,
 ) -> HypothesisReport:
-    """Dispatch to the named gate."""
-    if theorem == THM4:
-        return check_thm4(v, m, degree_one_cover=degree_one_cover)
-    if theorem == THM5:
-        return check_thm5(v, m, all_families_degree_one=all_families_degree_one)
-    if theorem == THM5_STRONG:
-        return check_thm5(
-            v, m, strong=True, all_families_degree_one=all_families_degree_one
+    """Check the named gate at level m, degree by degree.
+
+    Each gate honours one caller assertion: ``degree_one_cover`` for
+    thm4, ``all_families_degree_one`` for the thm5 pair.
+    """
+    gate = _gate(theorem)
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if m > v.dim:
+        raise ValueError(
+            f"m = {m} exceeds the manifold dimension {v.dim}: the degree-k "
+            "Chern scalar vanishes for k > dim, so a positive threshold "
+            "there can never be met"
         )
-    raise ValueError(f"unknown theorem gate {theorem!r}; choose from {THEOREMS}")
+    per_k = tuple(
+        MarginRow(k, gate.threshold(m, k), v.ch(k)) for k in range(1, m + 1)
+    )
+    passed = all(row.margin >= 0 for row in per_k)
+    claims = {
+        "degree_one_cover": degree_one_cover,
+        "all_families_degree_one": all_families_degree_one,
+    }
+    conclusions = gate.conclusions if passed else frozenset()
+    if passed and claims[gate.assertion]:
+        conclusions |= {gate.asserted}
+    return HypothesisReport(theorem, m, per_k, passed, conclusions)
 
 
 def max_m(v: SplitChernVector, theorem: str) -> int:
     """Largest m <= dim for which the gate passes; 0 when none does.
 
-    Thresholds decrease pointwise in m, so the first pass scanning
-    downward is the maximum.
+    Degree k meets its threshold at level m exactly when
+    m <= cap_k = (r_k*k! - offset(k))/slope, and threshold(m, k) rises
+    with m, so the passing levels are closed downward: m passes exactly
+    when m <= min(cap_1..cap_m).  One upward pass stops at the first k
+    where that running minimum drops below k.
     """
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem gate {theorem!r}; choose from {THEOREMS}")
-    for m in range(v.dim, 0, -1):
-        if check_hypotheses(v, m, theorem).passed:
-            return m
-    return 0
+    gate = _gate(theorem)
+    # The running minimum of slope*cap_k, started at the level bound dim.
+    budget = gate.slope * v.dim
+    for k, r in enumerate(v.scalars, start=1):
+        budget = min(budget, r * factorial(k) - gate.offset(k))
+        if budget < gate.slope * k:
+            return k - 1
+    return v.dim
 
 
 class CertificateError(Exception):
@@ -256,52 +295,46 @@ def _require(level: int, quantity: str, value: Fraction, bound: Fraction, strict
         )
 
 
-def _trace(
+def proof_trace(
     v: SplitChernVector,
     m: int,
     theorem: str,
-    table: CoeffTable | None,
-    at_actual: bool,
+    table: CoeffTable | None = None,
+    at_actual: bool = False,
 ) -> Certificate:
+    """Replay the inequality chain behind the named gate at levels 1..m-1.
+
+    Every bound is a descended scalar (``iterate_scalar``) of the
+    threshold inputs, or of the vector's own scalars when ``at_actual``,
+    and is checked against its closed form in the gate's total
+    slope*m + base (m+1 for thm4, 2m+1 or 2m+2 for the thm5 pair).
+    """
     report = check_hypotheses(v, m, theorem)
     if not report.passed:
         raise ValueError(
             f"gate {theorem} fails for m = {m}; no certificate can be issued"
         )
+    gate = _GATES[theorem]
     tab = table or shared_table()
-
-    def x(k: int) -> Fraction:
-        return v.ch(k) if at_actual else hypothesis_threshold(theorem, m, k)
+    x = [row.actual if at_actual else row.threshold for row in report.per_k]
+    total = gate.slope * m + gate.base
 
     levels = []
     for i in range(1, m):
-        dim_full = (
-            Fraction(-(i - 1))
-            + sum(tab.coefficient(i - 1, 1, k) * x(k) for k in range(1, i + 1))
-            - 2
-        )
+        dim_full = iterate_scalar(x, i - 1, 1, tab) - 2
+        c1_full = iterate_scalar(x, i, 1, tab)
+        t2_full = iterate_scalar(x, i - 1, 2, tab)
         if theorem == THM4:
             # c1 keeps the top descent term aside: it is a positive class
             # on its own, so positivity only needs the remaining sum.
-            c1_full = Fraction(-i) + sum(
-                tab.coefficient(i, 1, k) * x(k) for k in range(1, i + 1)
-            )
-            dim_closed = Fraction(m - i)
-            c1_closed = -i + (1 - Fraction(1, factorial(i + 1))) * (m + 1)
-            t2_closed = Fraction(m - i + 2, 2)
-            t2_asserted = True
+            c1_full -= tab.coefficient(i, 1, i + 1) * x[i]
+            dim_closed = Fraction(total - i - 1)
+            c1_closed = -i + (1 - Fraction(1, factorial(i + 1))) * total
+            t2_closed = Fraction(total - i + 1, 2)
         else:
-            c1_full = Fraction(-i) + sum(
-                tab.coefficient(i, 1, k) * x(k) for k in range(1, i + 2)
-            )
-            total = 2 * m + 2 if theorem == THM5_STRONG else 2 * m + 1
-            dim_closed = Fraction(total - 2 * i - 2)
-            c1_closed = Fraction(total - 2 * i - 2)
-            t2_closed = Fraction(total - 2 * i - 2, 2)
-            t2_asserted = True if theorem == THM5_STRONG else (i + 1 < m)
-        t2_full = Fraction(-(i - 1), 2) + sum(
-            tab.coefficient(i - 1, 2, k) * x(k) for k in range(1, i + 2)
-        )
+            dim_closed = c1_closed = Fraction(total - 2 * i - 2)
+            t2_closed = dim_closed / 2
+        t2_asserted = gate.t2_every_level or i + 1 < m
 
         dim_bound = _certify(i, "dim_bound", dim_full, dim_closed, at_actual)
         c1_margin = _certify(i, "c1_margin", c1_full, c1_closed, at_actual)
@@ -310,8 +343,7 @@ def _trace(
         _require(i, "dim_bound", dim_bound, Fraction(0), strict=True)
         _require(i, "c1_margin", c1_margin, Fraction(0), strict=True)
         if t2_asserted:
-            strict = theorem != THM5_STRONG
-            _require(i, "t2ch2_bound", t2_bound, Fraction(1), strict=strict)
+            _require(i, "t2ch2_bound", t2_bound, Fraction(1), strict=gate.t2_strict)
         levels.append(
             CertificateLevel(i, dim_bound, c1_margin, t2_bound, t2_asserted)
         )
@@ -339,7 +371,7 @@ def proof_trace_thm4(
     ``at_actual`` evaluates the same sums at the vector's own scalars
     instead; those values must dominate the threshold-mode ones.
     """
-    return _trace(v, m, THM4, table, at_actual)
+    return proof_trace(v, m, THM4, table, at_actual)
 
 
 def proof_trace_thm5(
@@ -357,4 +389,4 @@ def proof_trace_thm5(
     three by the larger thresholds (2m-2i, 2m-2i, m-i) and asserts the
     ch_2 bound >= 1 at every level, which pins every curve degree to 1.
     """
-    return _trace(v, m, THM5_STRONG if strong else THM5, table, at_actual)
+    return proof_trace(v, m, THM5_STRONG if strong else THM5, table, at_actual)

@@ -10,6 +10,8 @@ import pytest
 
 from conftest import run_cli
 from fanodescent.cli import RunReport, parse_split_vector_file
+from fanodescent.descent import catalogue
+from fanodescent.theorems import THM4, THM5, THM5_STRONG, proof_trace
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -72,6 +74,34 @@ def test_json_reports_round_trip():
         report = RunReport.from_json(text)
         assert RunReport.from_json(report.to_json()) == report
         assert json.loads(report.to_json()) == json.loads(text)
+
+
+@pytest.mark.parametrize(
+    "family, n, flag, m, theorem",
+    [
+        ("projective_space", 7, "thm4", 7, THM4),
+        ("quadric", 9, "thm5", 5, THM5),
+        ("quadric", 8, "thm5-strong", 4, THM5_STRONG),
+    ],
+)
+def test_check_certificate_matches_proof_trace(family, n, flag, m, theorem):
+    argv = ["check", family, str(n), "--theorem", flag, "--m", str(m), "--json"]
+    code, out, _ = run_cli(argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["theorem"] == theorem
+    cert = proof_trace(catalogue(family, [n]).vector, m, theorem)
+    assert results["certificate"]["levels"] == [
+        {
+            "level": lv.level,
+            "dim_bound": str(lv.dim_bound),
+            "c1_margin": str(lv.c1_margin),
+            "t2ch2_bound": str(lv.t2ch2_bound),
+            "t2ch2_asserted": lv.t2ch2_asserted,
+        }
+        for lv in cert.per_level
+    ]
+    assert len(cert.per_level) == m - 1
 
 
 # --- exit-code contract -------------------------------------------------------

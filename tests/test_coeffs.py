@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -47,6 +48,12 @@ def test_polynomial_immutable():
     p = Polynomial([1])
     with pytest.raises(AttributeError):
         p.coeffs = (2,)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_polynomial_rejects_float_and_bool_coefficients(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        Polynomial([1, bad])
 
 
 def test_polynomial_product_coefficients_are_elementary_symmetric():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from fanodescent.coeffs import shared_table
 from fanodescent.descent import (
     DIMENSION_ZERO,
     INSUFFICIENT_DATA,
@@ -21,6 +23,7 @@ from fanodescent.descent import (
     descend_direct,
     family_dimension,
     grassmannian,
+    iterate_scalar,
     projective_space,
     quadric,
 )
@@ -46,6 +49,31 @@ def test_vector_basics():
         v.ch(0)
     with pytest.raises(ValueError):
         SplitChernVector(())
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_vector_rejects_float_and_bool_scalars(bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        SplitChernVector((bad, 2))
+
+
+def test_vector_accepts_exact_scalars():
+    v = SplitChernVector((3, Fraction(1, 2), "-2/3"))
+    assert v.scalars == (3, Fraction(1, 2), Fraction(-2, 3))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_curve_degrees_reject_float_and_bool(bad):
+    v = projective_space(3).vector
+    calls = [
+        lambda: family_dimension(v, bad),
+        lambda: descend(v, bad),
+        lambda: descend_direct(v, 1, bad),
+        lambda: descend_chain(v, [bad]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call()
 
 
 # --- family dimension --------------------------------------------------------
@@ -204,6 +232,19 @@ def test_chain_invariants_quadric(n):
 
 
 # --- direct descent -------------------------------------------------------------
+
+
+def test_iterate_scalar_is_the_depth_i_sum():
+    tab = shared_table()
+    x = [Fraction(7, k) - k for k in range(1, 9)]
+    for i in range(5):
+        for j in range(1, 4):
+            expected = Fraction(-i, factorial(j)) + sum(
+                tab.coefficient(i, j, k) * x[k - 1] for k in range(1, i + j + 1)
+            )
+            assert iterate_scalar(x, i, j) == expected
+    # depth 0 is the identity descent
+    assert [iterate_scalar(x, 0, j) for j in range(1, 9)] == x
 
 
 def test_direct_depth_one_equals_single_step():

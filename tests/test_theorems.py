@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -17,12 +18,14 @@ from fanodescent.theorems import (
     THM4,
     THM5,
     THM5_STRONG,
+    THEOREMS,
     CertificateError,
     check_hypotheses,
     check_thm4,
     check_thm5,
     hypothesis_threshold,
     max_m,
+    proof_trace,
     proof_trace_thm4,
     proof_trace_thm5,
 )
@@ -133,6 +136,64 @@ def test_max_m_zero_when_nothing_passes():
     assert max_m(v, THM4) == 0
 
 
+def brute_force_max_m(v: SplitChernVector, theorem: str) -> int:
+    """Reference: the largest level at which the full gate check passes."""
+    passing = [m for m in range(1, v.dim + 1) if check_hypotheses(v, m, theorem).passed]
+    return max(passing, default=0)
+
+
+def random_gate_vectors(theorem: str, count: int, seed: int):
+    """Seeded vectors: half drawn freely (negative entries included), half
+    perturbed around the thresholds of a random level, so that caps land
+    on, just above and just below integers."""
+    rng = random.Random(seed)
+    for idx in range(count):
+        n = rng.randint(1, 9)
+        if idx % 2:
+            scalars = [Fraction(rng.randint(-10, 20), rng.randint(1, 7)) for _ in range(n)]
+        else:
+            m0 = rng.randint(1, n)
+            scalars = [
+                hypothesis_threshold(theorem, m0, k)
+                + rng.choice((-1, 0, 0, 1, 2)) * Fraction(1, rng.randint(1, 5) * factorial(k))
+                for k in range(1, n + 1)
+            ]
+        yield SplitChernVector(tuple(scalars))
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_max_m_equals_brute_force_scan(theorem):
+    seen = set()
+    for v in random_gate_vectors(theorem, 400, seed=17):
+        expected = brute_force_max_m(v, theorem)
+        assert max_m(v, theorem) == expected
+        seen.add("none" if expected == 0 else "all" if expected == v.dim else "some")
+    # the sample reaches all three outcomes: no, some and every level passes
+    assert seen == {"none", "some", "all"}
+
+
+def test_max_m_never_runs_the_gate_check(monkeypatch):
+    import fanodescent.theorems as theorems
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("max_m ran the full gate check")
+
+    monkeypatch.setattr(theorems, "check_hypotheses", refuse)
+    assert theorems.max_m(quadric(9).vector, THM5) == 5
+    assert theorems.max_m(projective_space(9).vector, THM4) == 9
+
+
+def test_unknown_gate_is_rejected_everywhere():
+    v = projective_space(3).vector
+    for call in (
+        lambda: max_m(v, "thm6"),
+        lambda: check_hypotheses(v, 2, "thm6"),
+        lambda: proof_trace(v, 2, "thm6"),
+    ):
+        with pytest.raises(ValueError, match="unknown theorem gate"):
+            call()
+
+
 def test_monotonicity_in_m():
     rng = random.Random(3)
     for _ in range(40):
@@ -210,16 +271,17 @@ def test_trace_requires_passing_gate():
         proof_trace_thm4(quadric(6).vector, 3)
 
 
-def test_trace_actual_mode_dominates_threshold_mode():
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_trace_actual_mode_dominates_threshold_mode(theorem):
     # A vector strictly above the thresholds: actual-mode bounds must
     # dominate the threshold-mode ones at every level.
     m = 4
     scalars = tuple(
-        hypothesis_threshold(THM4, m, k) + Fraction(1, k) for k in range(1, 7)
+        hypothesis_threshold(theorem, m, k) + Fraction(1, k) for k in range(1, 7)
     )
     v = SplitChernVector(scalars)
-    thr = proof_trace_thm4(v, m)
-    act = proof_trace_thm4(v, m, at_actual=True)
+    thr = proof_trace(v, m, theorem)
+    act = proof_trace(v, m, theorem, at_actual=True)
     assert act.mode == "actual"
     for a, t in zip(act.per_level, thr.per_level):
         assert a.dim_bound >= t.dim_bound
