@@ -156,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the coefficient identity suite",
         description="Check the descent-coefficient identities across all three "
-        "computation routes.  Enumeration cost grows like 2^i in --max-i (the "
-        "composition closed forms at depth i enumerate 2^(i+1) tuples) and like "
-        "2^n in --max-n.",
+        "computation routes.  The cost is polynomial in --max-i and --max-n: "
+        "cold, the defaults take about 0.15 s and --max-i 40 --max-n 40 about "
+        "0.6 s.",
     )
     p_verify.add_argument("--max-i", type=_positive_int, default=12, dest="max_i",
                           help="largest iteration depth to check (default 12)")

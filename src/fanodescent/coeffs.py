@@ -7,22 +7,24 @@ independent routes compute the same numbers:
 
 * a Bernoulli convolution over the iteration depth i, filled bottom-up,
 * closed forms as reciprocal sums over integer compositions (j = 1, 2),
+  tabulated by a dynamic programme over the last part,
 * coefficients of a falling-factorial generating polynomial (j = 1, 2).
 
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
-discrepancy.
+discrepancy.  Every route is polynomial in the depth: nothing here
+enumerates compositions, and the closed forms keep no cache between
+calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .exact import as_rational, compositions, elementary_symmetric, extend_bernoulli
+from .exact import _symmetric_expansion, as_rational, extend_bernoulli
 
 __all__ = [
     "Polynomial",
@@ -94,8 +96,9 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
-        if isinstance(other, (Fraction, int)):
-            return Polynomial([c * other for c in self.coeffs])
+        if not isinstance(other, Polynomial):
+            scalar = as_rational(other)
+            return Polynomial([c * scalar for c in self.coeffs])
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
         for pos1, c1 in enumerate(self.coeffs):
             if c1 == 0:
@@ -107,9 +110,11 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Fraction | int) -> "Polynomial":
+        scalar = as_rational(scalar)
         return Polynomial([c / scalar for c in self.coeffs])
 
     def evaluate(self, x: Fraction | int) -> Fraction:
+        x = as_rational(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -257,35 +262,65 @@ def descent_coefficient(i: int, j: int, k: int, table: CoeffTable | None = None)
     return (table or _SHARED).coefficient(i, j, k)
 
 
-@lru_cache(maxsize=None)
+def _composition_rows(max_n: int) -> list[list[Fraction]]:
+    """rows[n][k] = S(k, n) for 0 <= k <= n <= max_n, without enumeration.
+
+    S(k, n) is the sum of 1/(l_1 * ... * l_k) over the compositions of n
+    into k positive parts.  Splitting off the last part l gives
+    S(k, n) = sum_{l=1}^{n-k+1} S(k-1, n-l) / l, from S(0, 0) = 1 and
+    S(0, n) = 0 for n >= 1.  The recurrence runs on the integers
+    n! * S(k, n), where 1/l becomes the integer weight
+    n! / ((n-l)! * l) = C(n, l) * (l-1)!, so each of the O(max_n^3)
+    terms is one big-integer multiply-add instead of a Fraction
+    normalisation.  Neither the Bernoulli numbers nor the elementary
+    symmetric values enter.
+    """
+    scaled = [[1]]
+    for n in range(1, max_n + 1):
+        weights = [0] + [comb(n, l) * factorial(l - 1) for l in range(1, n + 1)]
+        row = [0]
+        for k in range(1, n + 1):
+            row.append(sum(weights[l] * scaled[n - l][k - 1] for l in range(1, n - k + 2)))
+        scaled.append(row)
+    return [[Fraction(s, factorial(n)) for s in row] for n, row in enumerate(scaled)]
+
+
+def _closed_row(rows: list[list[Fraction]], i: int, j: int) -> list[Fraction]:
+    """Closed-form row (i, j), k = 1..i+j, from composition rows through i + j.
+
+    j = 1: S(k, i+1).  j = 2: S(k, i+2) - S(k, i+1)/2, the second term
+    vanishing at k = i + 2.
+    """
+    row = rows[i + j][1:]
+    if j == 2:
+        for pos, value in enumerate(rows[i + 1][1:]):
+            row[pos] -= value / 2
+    return row
+
+
 def composition_sum(k: int, n: int) -> Fraction:
     """Sum of 1/(l_1 * ... * l_k) over all compositions of n into k positive parts."""
     if not 1 <= k <= n:
         raise ValueError(f"composition_sum requires 1 <= k <= n, got ({k}, {n})")
-    return sum((Fraction(1, prod(parts)) for parts in compositions(k, n)), Fraction(0))
+    return _composition_rows(n)[n][k]
 
 
-@lru_cache(maxsize=None)
 def ch1_coefficient_closed(i: int, k: int) -> Fraction:
     """Closed form for the degree-1 row: reciprocal sum over compositions of i+1."""
     if i < 1:
         raise ValueError(f"iteration depth must be >= 1, got {i}")
     if not 1 <= k <= i + 1:
         raise ValueError(f"k = {k} out of range [1, {i + 1}]")
-    return composition_sum(k, i + 1)
+    return _closed_row(_composition_rows(i + 1), i, 1)[k - 1]
 
 
-@lru_cache(maxsize=None)
 def ch2_coefficient_closed(i: int, k: int) -> Fraction:
     """Closed form for the degree-2 row: compositions of i+2 minus half those of i+1."""
     if i < 1:
         raise ValueError(f"iteration depth must be >= 1, got {i}")
     if not 1 <= k <= i + 2:
         raise ValueError(f"k = {k} out of range [1, {i + 2}]")
-    value = composition_sum(k, i + 2)
-    if k <= i + 1:
-        value -= composition_sum(k, i + 1) / 2
-    return value
+    return _closed_row(_composition_rows(i + 2), i, 2)[k - 1]
 
 
 def generating_polynomial(i: int, j: int) -> Polynomial:
@@ -349,20 +384,23 @@ def composition_symmetric_check(max_n: int) -> IdentityCheck:
     """Compare composition reciprocal sums with scaled elementary symmetric values.
 
     Checks composition_sum(k, n) == k!/n! * e_{n-k}(1, ..., n-1) for all
-    1 <= k <= n <= max_n.  Enumeration cost grows as 2^(n-1).
+    1 <= k <= n <= max_n.  Both sides are O(max_n^3) exact operations.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    return _symmetric_check(_composition_rows(max_n))
+
+
+def _symmetric_check(rows: list[list[Fraction]]) -> IdentityCheck:
+    """``composition_symmetric_check`` through n = len(rows) - 1, on given rows."""
     found = []
-    for n in range(1, max_n + 1):
-        ladder = list(range(1, n))
+    for n in range(1, len(rows)):
+        # e_0 .. e_{n-1} of 1, ..., n-1, from one expansion per n.
+        symmetric_values = _symmetric_expansion(range(1, n))
         for k in range(1, n + 1):
-            enumerated = composition_sum(k, n)
-            symmetric = Fraction(factorial(k), factorial(n)) * elementary_symmetric(
-                n - k, ladder
-            )
-            if enumerated != symmetric:
-                found.append(Discrepancy(f"(k,n)=({k},{n})", symmetric, enumerated))
+            symmetric = Fraction(factorial(k), factorial(n)) * symmetric_values[n - k]
+            if rows[n][k] != symmetric:
+                found.append(Discrepancy(f"(k,n)=({k},{n})", symmetric, rows[n][k]))
     return IdentityCheck("composition_symmetric_identity", tuple(found))
 
 
@@ -390,36 +428,29 @@ def verify_identities(i: int, table: CoeffTable | None = None) -> IdentityReport
     if i < 1:
         raise ValueError(f"iteration depth must be >= 1, got {i}")
     tab = table or _SHARED
+    rows = _composition_rows(i + 2)
+    recursion = {j: [tab.coefficient(i, j, k) for k in range(1, i + j + 1)] for j in (1, 2)}
+    # sum_k c(i, j, k) t^k / k!, which the generating polynomial equals.
+    summed = {
+        j: Polynomial([Fraction(0)] + [c / factorial(k) for k, c in enumerate(row, 1)])
+        for j, row in recursion.items()
+    }
     checks: list[IdentityCheck] = []
 
-    recursion_j1 = {k: tab.coefficient(i, 1, k) for k in range(1, i + 2)}
-    recursion_j2 = {k: tab.coefficient(i, 2, k) for k in range(1, i + 3)}
-
-    checks.append(
-        _compare_row(
-            "recursion_vs_composition_ch1",
-            [
-                (f"(i,j,k)=({i},1,{k})", ch1_coefficient_closed(i, k), recursion_j1[k])
-                for k in range(1, i + 2)
-            ],
+    for j in (1, 2):
+        checks.append(
+            _compare_row(
+                f"recursion_vs_composition_ch{j}",
+                [
+                    (f"(i,j,k)=({i},{j},{k})", closed, actual)
+                    for k, (closed, actual) in enumerate(
+                        zip(_closed_row(rows, i, j), recursion[j]), 1
+                    )
+                ],
+            )
         )
-    )
-    checks.append(
-        _compare_row(
-            "recursion_vs_composition_ch2",
-            [
-                (f"(i,j,k)=({i},2,{k})", ch2_coefficient_closed(i, k), recursion_j2[k])
-                for k in range(1, i + 3)
-            ],
-        )
-    )
-
-    for j, coeffs in ((1, recursion_j1), (2, recursion_j2)):
+    for j in (1, 2):
         product_poly = generating_polynomial(i, j)
-        summed = Polynomial(
-            [Fraction(0)]
-            + [coeffs[k] / factorial(k) for k in range(1, i + j + 1)]
-        )
         checks.append(
             _compare_row(
                 f"generating_polynomial_ch{j}",
@@ -427,38 +458,27 @@ def verify_identities(i: int, table: CoeffTable | None = None) -> IdentityReport
                     (
                         f"(i,j,k)=({i},{j},{k})",
                         product_poly.coefficient(k),
-                        summed.coefficient(k),
+                        summed[j].coefficient(k),
                     )
                     for k in range(0, i + j + 1)
                 ],
             )
         )
-
-    sum_j1 = sum(recursion_j1[k] / factorial(k) for k in range(1, i + 2))
-    sum_j1_at2 = sum(recursion_j1[k] * 2**k / factorial(k) for k in range(1, i + 2))
-    sum_j2 = sum(recursion_j2[k] / factorial(k) for k in range(1, i + 3))
-    sum_j2_at2 = sum(recursion_j2[k] * 2**k / factorial(k) for k in range(1, i + 3))
-    checks.append(_compare_row("sum_weights_ch1", [(f"i={i}", Fraction(1), sum_j1)]))
-    checks.append(
-        _compare_row("sum_weights_ch1_at_2", [(f"i={i}", Fraction(i + 2), sum_j1_at2)])
-    )
-    checks.append(_compare_row("sum_weights_ch2", [(f"i={i}", Fraction(1, 2), sum_j2)]))
-    checks.append(
-        _compare_row(
-            "sum_weights_ch2_at_2", [(f"i={i}", Fraction(i + 4, 2), sum_j2_at2)]
+    for j in (1, 2):
+        # The generating polynomial is 1/j! at t = 1 and (i + 2^j)/j! at t = 2.
+        for t, suffix, closed in ((1, "", 1), (2, "_at_2", i + 2**j)):
+            checks.append(
+                _compare_row(
+                    f"sum_weights_ch{j}{suffix}",
+                    [(f"i={i}", Fraction(closed, factorial(j)), summed[j].evaluate(t))],
+                )
+            )
+    for j in (1, 2):
+        checks.append(
+            _compare_row(
+                f"top_coefficient_ch{j}",
+                [(f"(i,j,k)=({i},{j},{i + j})", Fraction(1), recursion[j][-1])],
+            )
         )
-    )
-    checks.append(
-        _compare_row(
-            "top_coefficient_ch1",
-            [(f"(i,j,k)=({i},1,{i + 1})", Fraction(1), recursion_j1[i + 1])],
-        )
-    )
-    checks.append(
-        _compare_row(
-            "top_coefficient_ch2",
-            [(f"(i,j,k)=({i},2,{i + 2})", Fraction(1), recursion_j2[i + 2])],
-        )
-    )
-    checks.append(composition_symmetric_check(i + 2))
+    checks.append(_symmetric_check(rows))
     return IdentityReport(i, tuple(checks))

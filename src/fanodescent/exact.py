@@ -81,6 +81,8 @@ def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
 
     Empty for k > n (there is no way to split n into more than n positive
     parts).  The total count over all k is 2^(n-1), so keep n modest.
+    The library computes composition sums without enumerating; this
+    generator is the brute-force oracle the tests compare them against.
     """
     if k < 1 or n < 1:
         raise ValueError(f"compositions requires k >= 1 and n >= 1, got ({k}, {n})")
@@ -92,18 +94,25 @@ def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def elementary_symmetric(l: int, values: Sequence[Fraction | int]) -> Fraction:
-    """Elementary symmetric polynomial e_l evaluated at the given values.
+def _symmetric_expansion(values: Sequence[Fraction | int]) -> list[Fraction | int]:
+    """e_0, ..., e_len(values) at the given values, from one product expansion.
 
-    Uses the one-pass product recurrence (expand prod_i (1 + v_i x) and
-    read off the coefficient of x^l); e_0 is the empty product 1.
+    Expands prod_i (1 + v_i x) with the one-pass product recurrence; the
+    coefficient of x^l is e_l, and e_0 is the empty product 1.  The
+    recurrence only adds and multiplies, so integer values give integer
+    entries, computed without Fraction normalisation.
     """
+    acc = [1] + [0] * len(values)
+    for count, v in enumerate(values, start=1):
+        for pos in range(count, 0, -1):
+            acc[pos] += v * acc[pos - 1]
+    return acc
+
+
+def elementary_symmetric(l: int, values: Sequence[Fraction | int]) -> Fraction:
+    """Elementary symmetric polynomial e_l evaluated at the given values."""
     if l < 0 or l > len(values):
         raise ValueError(
             f"elementary_symmetric index {l} out of range for {len(values)} values"
         )
-    acc = [Fraction(1)] + [Fraction(0)] * l
-    for count, v in enumerate(values, start=1):
-        for pos in range(min(count, l), 0, -1):
-            acc[pos] += v * acc[pos - 1]
-    return acc[l]
+    return Fraction(_symmetric_expansion(values)[l])

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -18,7 +18,7 @@ from fanodescent.coeffs import (
     generating_polynomial,
     verify_identities,
 )
-from fanodescent.exact import bernoulli_table, elementary_symmetric
+from fanodescent.exact import bernoulli_table, compositions, elementary_symmetric
 
 
 # --- Polynomial ---------------------------------------------------------------
@@ -54,6 +54,22 @@ def test_polynomial_immutable():
 def test_polynomial_rejects_float_and_bool_coefficients(bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         Polynomial([1, bad])
+
+
+@pytest.mark.parametrize(
+    "operation, bad",
+    [
+        (lambda p: p * True, True),
+        (lambda p: True * p, True),
+        (lambda p: p / True, True),
+        (lambda p: p * 0.5, 0.5),
+        (lambda p: p.evaluate(0.5), 0.5),
+    ],
+    ids=["mul_bool", "rmul_bool", "div_bool", "mul_float", "evaluate_float"],
+)
+def test_polynomial_rejects_float_and_bool_scalars(operation, bad):
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        operation(Polynomial([1, 2]))
 
 
 def test_polynomial_product_coefficients_are_elementary_symmetric():
@@ -168,6 +184,26 @@ def test_composition_sum_values():
         composition_sum(3, 2)
 
 
+def test_composition_sum_matches_enumeration():
+    # Brute force over every composition: the oracle for small n only,
+    # since there are 2^(n-1) of them.
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            enumerated = sum(
+                (Fraction(1, prod(parts)) for parts in compositions(k, n)), Fraction(0)
+            )
+            assert composition_sum(k, n) == enumerated
+
+
+def test_closed_forms_are_exact_fractions():
+    # An int padding divided by 2 would leak a float that still compares
+    # equal to the right value, so the type is checked, not just the value.
+    values = [composition_sum(k, n) for n in range(1, 15) for k in range(1, n + 1)]
+    values += [ch1_coefficient_closed(i, k) for i in range(1, 14) for k in range(1, i + 2)]
+    values += [ch2_coefficient_closed(i, k) for i in range(1, 13) for k in range(1, i + 3)]
+    assert all(type(v) is Fraction for v in values)
+
+
 def test_generating_polynomial_values():
     assert generating_polynomial(1, 1) == Polynomial([0, Fraction(1, 2), Fraction(1, 2)])
     assert generating_polynomial(2, 1) == Polynomial(
@@ -226,6 +262,17 @@ def test_verify_identities_passes():
         assert report.first_discrepancy() is None
 
 
+@pytest.mark.parametrize("i", [16, 20, 24])
+def test_verify_identities_passes_past_depth_12(i):
+    report = verify_identities(i)
+    assert report.passed
+    assert len(report.checks) == 11
+
+
+def test_composition_symmetric_identity_to_30():
+    assert composition_symmetric_check(30).ok
+
+
 def test_verify_identities_flags_corrupted_convention():
     seed = bernoulli_table(2)
     seed[1] = -seed[1]  # the rejected B_1 = +1/2 convention
@@ -250,3 +297,26 @@ def test_depth_three_and_four_rows_exist_via_recursion():
         for k in range(1, i + j + 1)
     }
     assert all(isinstance(v, Fraction) for v in observed.values())
+
+
+# --- cross-checks against sympy ---------------------------------------------
+
+
+def test_composition_sums_are_scaled_stirling_numbers():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            scaled = factorial(n) // factorial(k) * composition_sum(k, n)
+            assert scaled == int(numbers.stirling(n, k, kind=1))
+
+
+def test_bernoulli_table_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    table = bernoulli_table(40)
+    for m in range(41):
+        if m != 1:
+            expected = sympy.bernoulli(m)
+            assert table[m] == Fraction(int(expected.p), int(expected.q))
+    # sympy >= 1.12 takes B_1 = +1/2; this library keeps B_1 = -1/2.
+    assert sympy.bernoulli(1) == sympy.Rational(1, 2)
+    assert table[1] == Fraction(-1, 2)
