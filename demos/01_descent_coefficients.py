@@ -4,7 +4,7 @@ The coefficient c(i, j, k) weighs the degree-k Chern scalar of a
 manifold inside the degree-j Chern scalar of its i-th iterated minimal
 family of rational curves.  This script computes a few of them by the
 Bernoulli recursion, by summing over integer compositions, and by
-expanding a falling-factorial product, and watches all three agree.
+expanding a rising-factorial product, and watches all three agree.
 """
 
 from fractions import Fraction

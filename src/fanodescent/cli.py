@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .coeffs import (
-    CoeffTable,
-    IdentityCheck,
-    composition_symmetric_check,
-    verify_identities,
-)
+from .coeffs import CoeffTable, IdentityCheck, _IdentityPass
 from .descent import (
     CatalogueEntry,
     DescentError,
@@ -88,12 +84,16 @@ def _q(x: Fraction | int) -> str:
     return str(Fraction(x))
 
 
+_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_split_vector_file(path: str | Path) -> SplitChernVector:
     """Read a split vector from a plain text file.
 
     Format: whitespace-separated tokens, lines starting with '#' are
     comments; the first token is the dimension n, followed by exactly n
-    rationals written as ``p/q`` (or bare integers ``p``).
+    rationals written as ``p/q`` (or bare integers ``p``), each with an
+    optional sign.  Decimals, exponents and digit separators are refused.
     """
     tokens: list[str] = []
     for line in Path(path).read_text().splitlines():
@@ -103,21 +103,26 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
         tokens.extend(line.split())
     if not tokens:
         raise ValueError(f"{path}: no data found")
-    try:
-        dim = int(tokens[0])
-    except ValueError:
-        raise ValueError(f"{path}: first token must be the integer dimension") from None
+    integer = _RATIONAL_TOKEN.fullmatch(tokens[0])
+    if integer is None or integer[1]:
+        raise ValueError(f"{path}: first token must be the integer dimension")
+    dim = int(tokens[0])
     if dim < 1:
         raise ValueError(f"{path}: dimension must be >= 1, got {dim}")
     if len(tokens) - 1 != dim:
         raise ValueError(
             f"{path}: expected {dim} scalars after the dimension, got {len(tokens) - 1}"
         )
-    try:
-        scalars = tuple(Fraction(tok) for tok in tokens[1:])
-    except (ValueError, ZeroDivisionError) as err:
-        raise ValueError(f"{path}: bad rational token ({err})") from None
-    return SplitChernVector(scalars, label="input")
+    scalars = []
+    for tok in tokens[1:]:
+        # Fraction() alone would also take 0.5, 1e3 and 1_0.
+        if not _RATIONAL_TOKEN.fullmatch(tok):
+            raise ValueError(f"{path}: bad rational token {tok!r} (expected p/q or an integer)")
+        try:
+            scalars.append(Fraction(tok))
+        except ZeroDivisionError:
+            raise ValueError(f"{path}: bad rational token {tok!r} (zero denominator)") from None
+    return SplitChernVector(tuple(scalars), label="input")
 
 
 def _positive_int(text: str) -> int:
@@ -156,9 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run the coefficient identity suite",
         description="Check the descent-coefficient identities across all three "
-        "computation routes.  The cost is polynomial in --max-i and --max-n: "
-        "cold, the defaults take about 0.15 s and --max-i 40 --max-n 40 about "
-        "0.6 s.",
+        "computation routes.  The identities themselves cost O(M^3) exact "
+        "operations per run, M = max(--max-i + 2, --max-n); the coefficient "
+        "table they read grows like --max-i^4.  Cold, the defaults take about "
+        "0.15 s, --max-i 40 --max-n 40 about 0.2 s and --max-i 80 --max-n 80 "
+        "about 1.1 s.",
     )
     p_verify.add_argument("--max-i", type=_positive_int, default=12, dest="max_i",
                           help="largest iteration depth to check (default 12)")
@@ -228,8 +235,10 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
         table = CoeffTable(seed)
     else:
         table = CoeffTable()
-    reports = [verify_identities(i, table) for i in range(1, args.max_i + 1)]
-    composition = composition_symmetric_check(args.max_n)
+    # One pass builds what every depth and the run-level check share.
+    shared = _IdentityPass(max(args.max_i + 2, args.max_n))
+    reports = [shared.report(i, table) for i in range(1, args.max_i + 1)]
+    composition = shared.symmetric_check(args.max_n)
     all_ok = all(r.passed for r in reports) and composition.ok
     results = {
         "reports": [
@@ -553,6 +562,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (DescentError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except (MemoryError, RecursionError) as err:
+        # Running out of memory or stack is not a failed check, which exit 1 means.
+        detail = f": {err}" if str(err) else ""
+        print(f"error: {type(err).__name__}{detail}", file=sys.stderr)
         return 2
     print(report.to_json() if args.json else _RENDERERS[args.command](report))
     return report.exit_code

@@ -8,11 +8,12 @@ independent routes compute the same numbers:
 * a Bernoulli convolution over the iteration depth i, filled bottom-up,
 * closed forms as reciprocal sums over integer compositions (j = 1, 2),
   tabulated by a dynamic programme over the last part,
-* coefficients of a falling-factorial generating polynomial (j = 1, 2).
+* coefficients of a rising-factorial generating polynomial (j = 1, 2).
 
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
-discrepancy.  Every route is polynomial in the depth: nothing here
+discrepancy; a run over many depths builds what they share once and
+compares in integers.  Every route is polynomial in the depth: nothing here
 enumerates compositions, and the closed forms keep no cache between
 calls.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
-from .exact import _symmetric_expansion, as_rational, extend_bernoulli
+from .exact import _symmetric_expansions, as_rational, extend_bernoulli
 
 __all__ = [
     "Polynomial",
@@ -323,6 +324,19 @@ def ch2_coefficient_closed(i: int, k: int) -> Fraction:
     return _closed_row(_composition_rows(i + 2), i, 2)[k - 1]
 
 
+def _generating_numerators(rising: list[int], i: int, j: int) -> tuple[list[int], int]:
+    """Generating polynomial (i, j) as integer numerators over one denominator, t^0 first.
+
+    ``rising`` is e_0, ..., e_i of 1, ..., i, so the t^k coefficient of
+    t(t+1)...(t+i) is e_{i+1-k}.  For j = 2 the factor t + i/2 is taken
+    as (2t + i) over an extra 2.
+    """
+    nums = [0, *reversed(rising)]
+    if j == 1:
+        return nums, factorial(i + 1)
+    return [i * a + 2 * b for a, b in zip([*nums, 0], [0, *nums])], 2 * factorial(i + 2)
+
+
 def generating_polynomial(i: int, j: int) -> Polynomial:
     """Generating polynomial whose t^k coefficient times k! is the (i, j, k) coefficient.
 
@@ -333,12 +347,9 @@ def generating_polynomial(i: int, j: int) -> Polynomial:
         raise ValueError(f"iteration depth must be >= 1, got {i}")
     if j not in (1, 2):
         raise ValueError(f"generating polynomials exist only for j in {{1, 2}}, got {j}")
-    poly = Polynomial([0, 1])
-    for c in range(1, i + 1):
-        poly = poly * Polynomial([c, 1])
-    if j == 1:
-        return poly / factorial(i + 1)
-    return poly * Polynomial([Fraction(i, 2), 1]) / factorial(i + 2)
+    *_, rising = _symmetric_expansions(range(1, i + 1))
+    nums, den = _generating_numerators(rising, i, j)
+    return Polynomial([Fraction(n, den) for n in nums])
 
 
 @dataclass(frozen=True)
@@ -380,28 +391,12 @@ class IdentityReport:
         return None
 
 
-def composition_symmetric_check(max_n: int) -> IdentityCheck:
-    """Compare composition reciprocal sums with scaled elementary symmetric values.
-
-    Checks composition_sum(k, n) == k!/n! * e_{n-k}(1, ..., n-1) for all
-    1 <= k <= n <= max_n.  Both sides are O(max_n^3) exact operations.
-    """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    return _symmetric_check(_composition_rows(max_n))
-
-
-def _symmetric_check(rows: list[list[Fraction]]) -> IdentityCheck:
-    """``composition_symmetric_check`` through n = len(rows) - 1, on given rows."""
-    found = []
-    for n in range(1, len(rows)):
-        # e_0 .. e_{n-1} of 1, ..., n-1, from one expansion per n.
-        symmetric_values = _symmetric_expansion(range(1, n))
-        for k in range(1, n + 1):
-            symmetric = Fraction(factorial(k), factorial(n)) * symmetric_values[n - k]
-            if rows[n][k] != symmetric:
-                found.append(Discrepancy(f"(k,n)=({k},{n})", symmetric, rows[n][k]))
-    return IdentityCheck("composition_symmetric_identity", tuple(found))
+def _over_common_denominator(row: list[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ``row`` over the least common denominator."""
+    den = 1
+    for c in row:
+        den = lcm(den, c.denominator)
+    return [c.numerator * (den // c.denominator) for c in row], den
 
 
 def _compare_row(
@@ -413,6 +408,108 @@ def _compare_row(
         if expected != actual
     )
     return IdentityCheck(name, found)
+
+
+class _IdentityPass:
+    """What every depth of one identity run shares, built once up to n = top.
+
+    Holds the composition rows S(k, n) for n <= top, the integer
+    expansions ``rising[m]`` = e_0, ..., e_m of 1, ..., m for m < top
+    (one product recurrence, one factor per m), and the outcome of the
+    composition/symmetric identity at every 1 <= k <= n <= top, each
+    (k, n) compared once.  ``report(i)`` for i <= top - 2 and
+    ``symmetric_check(n)`` for n <= top only read them, so a run over all
+    depths is O(top^3) exact operations besides the coefficient table.
+    Comparisons cross-multiply integers; the Fractions of a discrepancy
+    are built only on a mismatch.
+    """
+
+    def __init__(self, top: int):
+        self.rows = _composition_rows(top)
+        self.rising = list(_symmetric_expansions(range(1, top)))
+        self._symmetric: list[Discrepancy] = []
+        # _symmetric_upto[n]: the number of discrepancies at sizes <= n.
+        self._symmetric_upto = [0]
+        for n in range(1, top + 1):
+            # S(k, n) == k!/n! * e_{n-k}(1, ..., n-1)
+            n_fact, values = factorial(n), self.rising[n - 1]
+            for k in range(1, n + 1):
+                s, k_fact = self.rows[n][k], factorial(k)
+                if s.numerator * n_fact != k_fact * values[n - k] * s.denominator:
+                    symmetric = Fraction(k_fact, n_fact) * values[n - k]
+                    self._symmetric.append(Discrepancy(f"(k,n)=({k},{n})", symmetric, s))
+            self._symmetric_upto.append(len(self._symmetric))
+
+    def symmetric_check(self, max_n: int) -> IdentityCheck:
+        """The composition/symmetric identity for 1 <= k <= n <= max_n."""
+        found = self._symmetric[: self._symmetric_upto[max_n]]
+        return IdentityCheck("composition_symmetric_identity", tuple(found))
+
+    def report(self, i: int, table: CoeffTable) -> IdentityReport:
+        """Every identity at depth i, the symmetric one through n = i + 2."""
+        recursion = {j: [table.coefficient(i, j, k) for k in range(1, i + j + 1)] for j in (1, 2)}
+        scaled = {j: _over_common_denominator(row) for j, row in recursion.items()}
+        checks: list[IdentityCheck] = []
+
+        for j in (1, 2):
+            checks.append(
+                _compare_row(
+                    f"recursion_vs_composition_ch{j}",
+                    [
+                        (f"(i,j,k)=({i},{j},{k})", closed, actual)
+                        for k, (closed, actual) in enumerate(
+                            zip(_closed_row(self.rows, i, j), recursion[j]), 1
+                        )
+                    ],
+                )
+            )
+        for j in (1, 2):
+            # The t^k coefficient of the generating polynomial against
+            # c(i, j, k)/k!; at t^0 both are 0.
+            product, product_den = _generating_numerators(self.rising[i], i, j)
+            nums, den = scaled[j]
+            found = tuple(
+                Discrepancy(
+                    f"(i,j,k)=({i},{j},{k})",
+                    Fraction(product[k], product_den),
+                    recursion[j][k - 1] / factorial(k),
+                )
+                for k in range(1, i + j + 1)
+                if nums[k - 1] * product_den != product[k] * factorial(k) * den
+            )
+            checks.append(IdentityCheck(f"generating_polynomial_ch{j}", found))
+        for j in (1, 2):
+            # sum_k c(i, j, k) t^k / k! is total / (den * (i+j)!).  The
+            # generating polynomial is 1/j! at t = 1 and (i + 2^j)/j! at t = 2.
+            nums, den = scaled[j]
+            scale = factorial(i + j)
+            for t, suffix, closed in ((1, "", 1), (2, "_at_2", i + 2**j)):
+                total = sum(n * (scale // factorial(k)) * t**k for k, n in enumerate(nums, 1))
+                found = ()
+                if total * factorial(j) != closed * den * scale:
+                    expected = Fraction(closed, factorial(j))
+                    found = (Discrepancy(f"i={i}", expected, Fraction(total, den * scale)),)
+                checks.append(IdentityCheck(f"sum_weights_ch{j}{suffix}", found))
+        for j in (1, 2):
+            checks.append(
+                _compare_row(
+                    f"top_coefficient_ch{j}",
+                    [(f"(i,j,k)=({i},{j},{i + j})", Fraction(1), recursion[j][-1])],
+                )
+            )
+        checks.append(self.symmetric_check(i + 2))
+        return IdentityReport(i, tuple(checks))
+
+
+def composition_symmetric_check(max_n: int) -> IdentityCheck:
+    """Compare composition reciprocal sums with scaled elementary symmetric values.
+
+    Checks composition_sum(k, n) == k!/n! * e_{n-k}(1, ..., n-1) for all
+    1 <= k <= n <= max_n.  Both sides are O(max_n^3) exact operations.
+    """
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    return _IdentityPass(max_n).symmetric_check(max_n)
 
 
 def verify_identities(i: int, table: CoeffTable | None = None) -> IdentityReport:
@@ -427,58 +524,4 @@ def verify_identities(i: int, table: CoeffTable | None = None) -> IdentityReport
     """
     if i < 1:
         raise ValueError(f"iteration depth must be >= 1, got {i}")
-    tab = table or _SHARED
-    rows = _composition_rows(i + 2)
-    recursion = {j: [tab.coefficient(i, j, k) for k in range(1, i + j + 1)] for j in (1, 2)}
-    # sum_k c(i, j, k) t^k / k!, which the generating polynomial equals.
-    summed = {
-        j: Polynomial([Fraction(0)] + [c / factorial(k) for k, c in enumerate(row, 1)])
-        for j, row in recursion.items()
-    }
-    checks: list[IdentityCheck] = []
-
-    for j in (1, 2):
-        checks.append(
-            _compare_row(
-                f"recursion_vs_composition_ch{j}",
-                [
-                    (f"(i,j,k)=({i},{j},{k})", closed, actual)
-                    for k, (closed, actual) in enumerate(
-                        zip(_closed_row(rows, i, j), recursion[j]), 1
-                    )
-                ],
-            )
-        )
-    for j in (1, 2):
-        product_poly = generating_polynomial(i, j)
-        checks.append(
-            _compare_row(
-                f"generating_polynomial_ch{j}",
-                [
-                    (
-                        f"(i,j,k)=({i},{j},{k})",
-                        product_poly.coefficient(k),
-                        summed[j].coefficient(k),
-                    )
-                    for k in range(0, i + j + 1)
-                ],
-            )
-        )
-    for j in (1, 2):
-        # The generating polynomial is 1/j! at t = 1 and (i + 2^j)/j! at t = 2.
-        for t, suffix, closed in ((1, "", 1), (2, "_at_2", i + 2**j)):
-            checks.append(
-                _compare_row(
-                    f"sum_weights_ch{j}{suffix}",
-                    [(f"i={i}", Fraction(closed, factorial(j)), summed[j].evaluate(t))],
-                )
-            )
-    for j in (1, 2):
-        checks.append(
-            _compare_row(
-                f"top_coefficient_ch{j}",
-                [(f"(i,j,k)=({i},{j},{i + j})", Fraction(1), recursion[j][-1])],
-            )
-        )
-    checks.append(_symmetric_check(rows))
-    return IdentityReport(i, tuple(checks))
+    return _IdentityPass(i + 2).report(i, table or _SHARED)

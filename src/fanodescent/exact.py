@@ -94,19 +94,21 @@ def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _symmetric_expansion(values: Sequence[Fraction | int]) -> list[Fraction | int]:
-    """e_0, ..., e_len(values) at the given values, from one product expansion.
+def _symmetric_expansions(values: Sequence[Fraction | int]) -> Iterator[list[Fraction | int]]:
+    """e_0, ..., e_m at the first m values, for m = 0, ..., len(values) in turn.
 
-    Expands prod_i (1 + v_i x) with the one-pass product recurrence; the
-    coefficient of x^l is e_l, and e_0 is the empty product 1.  The
-    recurrence only adds and multiplies, so integer values give integer
-    entries, computed without Fraction normalisation.
+    Expands prod_i (1 + v_i x) one factor at a time with the product
+    recurrence e_l <- e_l + v * e_{l-1}; the coefficient of x^l is e_l,
+    and e_0 is the empty product 1.  Each step yields a new list, so a
+    caller may keep every prefix.  The recurrence only adds and
+    multiplies, so integer values give integer entries, computed without
+    Fraction normalisation.
     """
-    acc = [1] + [0] * len(values)
-    for count, v in enumerate(values, start=1):
-        for pos in range(count, 0, -1):
-            acc[pos] += v * acc[pos - 1]
-    return acc
+    acc: list[Fraction | int] = [1]
+    yield acc
+    for v in values:
+        acc = [a + v * b for a, b in zip([*acc, 0], [0, *acc])]
+        yield acc
 
 
 def elementary_symmetric(l: int, values: Sequence[Fraction | int]) -> Fraction:
@@ -115,4 +117,5 @@ def elementary_symmetric(l: int, values: Sequence[Fraction | int]) -> Fraction:
         raise ValueError(
             f"elementary_symmetric index {l} out of range for {len(values)} values"
         )
-    return Fraction(_symmetric_expansion(values)[l])
+    *_, expansion = _symmetric_expansions(values)
+    return Fraction(expansion[l])

@@ -4,11 +4,13 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import run_cli
+from fanodescent import cli
 from fanodescent.cli import RunReport, parse_split_vector_file
 from fanodescent.descent import catalogue
 from fanodescent.theorems import THM4, THM5, THM5_STRONG, proof_trace
@@ -182,6 +184,11 @@ def test_parse_split_vector_file(tmp_path):
         ("3\n1 2", "expected 3 scalars"),
         ("2\n1 1/0", "bad rational"),
         ("2\n1 nope", "bad rational"),
+        ("2\n1 0.5", "bad rational"),
+        ("2\n1 1e3", "bad rational"),
+        ("2\n1 1_0", "bad rational"),
+        ("2\n1 1/2.0", "bad rational"),
+        ("1_0\n" + "1 " * 10, "first token"),
     ],
 )
 def test_bad_vector_files_exit_two(tmp_path, content, message):
@@ -190,6 +197,13 @@ def test_bad_vector_files_exit_two(tmp_path, content, message):
     code, _, err = run_cli(["chain", "--input", str(path)])
     assert code == 2
     assert message in err
+
+
+def test_signed_integer_and_fraction_tokens_parse(tmp_path):
+    path = tmp_path / "vector.txt"
+    path.write_text("+3\n-2 +5/2 -1/6\n")
+    v = parse_split_vector_file(path)
+    assert v.scalars == (-2, Fraction(5, 2), Fraction(-1, 6))
 
 
 def test_chain_from_input_file(tmp_path):
@@ -221,6 +235,22 @@ def test_input_and_name_are_mutually_exclusive(tmp_path):
 def test_missing_input_file_exits_two(tmp_path):
     code, _, _ = run_cli(["chain", "--input", str(tmp_path / "absent.txt")])
     assert code == 2
+
+
+# --- resource exhaustion -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("error", [MemoryError(), RecursionError("maximum recursion depth")])
+def test_resource_errors_exit_two(monkeypatch, error):
+    # Exhausted memory or stack is an error (2), not a failed check (1).
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "verify", exhausted)
+    code, out, err = run_cli(["verify", "--max-i", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {type(error).__name__}")
 
 
 # --- degrees flag ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import random
 import re
 from fractions import Fraction
@@ -7,8 +8,13 @@ from math import factorial, prod
 
 import pytest
 
+from fanodescent import coeffs
+from fanodescent.cli import cmd_verify
 from fanodescent.coeffs import (
     CoeffTable,
+    Discrepancy,
+    IdentityCheck,
+    IdentityReport,
     Polynomial,
     ch1_coefficient_closed,
     ch2_coefficient_closed,
@@ -297,6 +303,203 @@ def test_depth_three_and_four_rows_exist_via_recursion():
         for k in range(1, i + j + 1)
     }
     assert all(isinstance(v, Fraction) for v in observed.values())
+
+
+# --- reference oracle for the identity suite ----------------------------------
+#
+# The per-depth identity suite as it was before the shared integer pass:
+# generating polynomials from generic Fraction Polynomial products, the
+# weighted sums read off a Fraction polynomial by ``evaluate``, and the
+# composition/symmetric identity re-expanded from scratch at every n of
+# every depth.  The composition rows come from the library's DP, looked up
+# at call time, so a test may corrupt them for both sides at once.
+
+
+def _reference_expansion(values):
+    acc = [1] + [0] * len(values)
+    for count, v in enumerate(values, start=1):
+        for pos in range(count, 0, -1):
+            acc[pos] += v * acc[pos - 1]
+    return acc
+
+
+def _reference_generating_polynomial(i, j):
+    poly = Polynomial([0, 1])
+    for c in range(1, i + 1):
+        poly = poly * Polynomial([c, 1])
+    if j == 1:
+        return poly / factorial(i + 1)
+    return poly * Polynomial([Fraction(i, 2), 1]) / factorial(i + 2)
+
+
+def _reference_symmetric_check(rows):
+    found = []
+    for n in range(1, len(rows)):
+        symmetric_values = _reference_expansion(range(1, n))
+        for k in range(1, n + 1):
+            symmetric = Fraction(factorial(k), factorial(n)) * symmetric_values[n - k]
+            if rows[n][k] != symmetric:
+                found.append(Discrepancy(f"(k,n)=({k},{n})", symmetric, rows[n][k]))
+    return IdentityCheck("composition_symmetric_identity", tuple(found))
+
+
+def _reference_compare(name, pairs):
+    found = tuple(
+        Discrepancy(loc, expected, actual) for loc, expected, actual in pairs if expected != actual
+    )
+    return IdentityCheck(name, found)
+
+
+def _reference_verify(i, table):
+    rows = coeffs._composition_rows(i + 2)
+    recursion = {j: [table.coefficient(i, j, k) for k in range(1, i + j + 1)] for j in (1, 2)}
+    summed = {
+        j: Polynomial([Fraction(0)] + [c / factorial(k) for k, c in enumerate(row, 1)])
+        for j, row in recursion.items()
+    }
+    checks = []
+    for j in (1, 2):
+        closed = coeffs._closed_row(rows, i, j)
+        checks.append(
+            _reference_compare(
+                f"recursion_vs_composition_ch{j}",
+                [
+                    (f"(i,j,k)=({i},{j},{k})", c, r)
+                    for k, (c, r) in enumerate(zip(closed, recursion[j]), 1)
+                ],
+            )
+        )
+    for j in (1, 2):
+        product_poly = _reference_generating_polynomial(i, j)
+        checks.append(
+            _reference_compare(
+                f"generating_polynomial_ch{j}",
+                [
+                    (f"(i,j,k)=({i},{j},{k})", product_poly.coefficient(k), summed[j].coefficient(k))
+                    for k in range(0, i + j + 1)
+                ],
+            )
+        )
+    for j in (1, 2):
+        for t, suffix, closed in ((1, "", 1), (2, "_at_2", i + 2**j)):
+            checks.append(
+                _reference_compare(
+                    f"sum_weights_ch{j}{suffix}",
+                    [(f"i={i}", Fraction(closed, factorial(j)), summed[j].evaluate(t))],
+                )
+            )
+    for j in (1, 2):
+        checks.append(
+            _reference_compare(
+                f"top_coefficient_ch{j}",
+                [(f"(i,j,k)=({i},{j},{i + j})", Fraction(1), recursion[j][-1])],
+            )
+        )
+    checks.append(_reference_symmetric_check(rows))
+    return IdentityReport(i, tuple(checks))
+
+
+def _flipped_table():
+    seed = bernoulli_table(2)
+    seed[1] = -seed[1]
+    return CoeffTable(seed)
+
+
+def _fields(check):
+    return (
+        check.name,
+        check.ok,
+        [(d.location, d.expected, d.actual) for d in check.discrepancies],
+    )
+
+
+def _json_fields(check):
+    # Rationals are serialized as exact p/q strings, so Fraction() restores them.
+    return (
+        check["name"],
+        check["ok"],
+        [
+            (d["location"], Fraction(d["expected"]), Fraction(d["actual"]))
+            for d in check["discrepancies"]
+        ],
+    )
+
+
+def _assert_verify_matches_reference(max_i, max_n, flip):
+    results = cmd_verify(argparse.Namespace(max_i=max_i, max_n=max_n, flip_b1=flip)).results
+    table = _flipped_table() if flip else CoeffTable()
+    expected = [_reference_verify(i, table) for i in range(1, max_i + 1)]
+    composition = _reference_symmetric_check(coeffs._composition_rows(max_n))
+    assert [(r["i"], r["passed"]) for r in results["reports"]] == [
+        (rep.i, rep.passed) for rep in expected
+    ]
+    assert [[_json_fields(c) for c in r["checks"]] for r in results["reports"]] == [
+        [_fields(c) for c in rep.checks] for rep in expected
+    ]
+    assert _json_fields(results["composition_identity"]) == _fields(composition)
+    assert results["all_ok"] == (all(rep.passed for rep in expected) and composition.ok)
+    return results
+
+
+# max_n below, equal to and above max_i + 2.
+VERIFY_SIZES = [(1, 1), (1, 3), (1, 5), (5, 3), (5, 7), (5, 12), (16, 9), (16, 18), (16, 24)]
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["honest", "flip_b1"])
+@pytest.mark.parametrize("max_i, max_n", VERIFY_SIZES)
+def test_cli_verify_matches_reference(max_i, max_n, flip):
+    results = _assert_verify_matches_reference(max_i, max_n, flip)
+    assert results["all_ok"] is not flip
+
+
+def test_cli_verify_matches_reference_on_corrupted_composition_rows(monkeypatch):
+    # The composition DP does not read the Bernoulli table, so no flag makes
+    # the symmetric identity fail; corrupt two entries to reach that path.
+    original = coeffs._composition_rows
+
+    def corrupted(max_n):
+        rows = original(max_n)
+        for k, n in ((2, 4), (3, 9)):
+            if n <= max_n:
+                rows[n][k] += Fraction(1, 7)
+        return rows
+
+    monkeypatch.setattr(coeffs, "_composition_rows", corrupted)
+    for max_i, max_n in ((2, 3), (2, 4), (5, 8), (5, 12), (9, 6)):
+        results = _assert_verify_matches_reference(max_i, max_n, False)
+        assert not results["all_ok"]
+    assert [d.location for d in composition_symmetric_check(10).discrepancies] == [
+        "(k,n)=(2,4)",
+        "(k,n)=(3,9)",
+    ]
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["honest", "flip_b1"])
+def test_verify_identities_matches_reference(flip):
+    table = _flipped_table() if flip else CoeffTable()
+    for i in range(1, 17):
+        report = verify_identities(i, table)
+        assert report == _reference_verify(i, table)
+        assert all(
+            type(d.expected) is Fraction and type(d.actual) is Fraction
+            for check in report.checks
+            for d in check.discrepancies
+        )
+
+
+def test_composition_symmetric_check_matches_reference():
+    for n in range(1, 21):
+        assert composition_symmetric_check(n) == _reference_symmetric_check(
+            coeffs._composition_rows(n)
+        )
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_generating_polynomial_matches_generic_product(j):
+    for i in range(1, 41):
+        poly = generating_polynomial(i, j)
+        assert poly == _reference_generating_polynomial(i, j)
+        assert all(type(c) is Fraction for c in poly.coeffs)
 
 
 # --- cross-checks against sympy ---------------------------------------------

@@ -1,0 +1,128 @@
+"""Cold wall times of large CLI runs, written to a BENCH_*.json record.
+
+Each case runs ``python -m fanodescent ... --json`` in fresh processes
+against the package under ``--src`` and records the wall time of every
+process, their median and the sha256 of the JSON report.  The hash shows
+whether two sources give byte-identical reports; a case whose runs
+disagree, or that exits non-zero, makes the script exit 1.
+
+Usage (standard library only):
+
+    python tools/scaling.py --out BENCH_N.json --label change
+    python tools/scaling.py --out BENCH_N.json --label parent --src OTHER/src
+
+Runs are keyed by ``--label``; other labels already in the file are kept,
+so one file can hold the parent and the change measured on one machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _sizes(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok]
+
+
+def cases(verify_sizes: list[int], check_sizes: list[int]) -> list[tuple[str, list[str]]]:
+    """(name, argv) for every requested size, in the order they run."""
+    out = []
+    for m in verify_sizes:
+        out.append((f"verify M={m}", ["verify", "--max-i", str(m), "--max-n", str(m), "--json"]))
+    for m in check_sizes:
+        argv = ["check", "projective_space", str(m), "--theorem", "thm4", "--m", str(m), "--json"]
+        out.append((f"check projective_space m={m} thm4", argv))
+    return out
+
+
+def _cpu_model() -> str | None:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or None
+
+
+def machine() -> dict:
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "system": platform.system(),
+        "machine": platform.machine(),
+        "cpu": _cpu_model(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def measure(src: Path, argv: list[str], repeats: int) -> dict:
+    """Run one case ``repeats`` times, each in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    walls, codes, digests = [], [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanodescent", *argv], env=env, capture_output=True
+        )
+        walls.append(time.perf_counter() - start)
+        codes.append(proc.returncode)
+        digests.append(hashlib.sha256(proc.stdout).hexdigest())
+    return {
+        "argv": argv,
+        "exit_codes": codes,
+        "wall_s": [round(w, 4) for w in walls],
+        "median_s": round(statistics.median(walls), 4),
+        "report_sha256": digests[0],
+        "reports_identical": len(set(digests)) == 1,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, type=Path, help="JSON record to create or update")
+    parser.add_argument("--label", default="change", help="key of this run in the record")
+    parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
+                        help="directory holding the fanodescent package (default: this checkout)")
+    parser.add_argument("--repeats", type=int, default=3, help="fresh processes per case")
+    parser.add_argument("--verify", type=_sizes, default=[20, 40, 80],
+                        help="comma-separated M for verify --max-i M --max-n M")
+    parser.add_argument("--check", type=_sizes, default=[50, 100],
+                        help="comma-separated m for check projective_space m --theorem thm4 --m m")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be >= 1")
+
+    results, ok = [], True
+    for name, case_argv in cases(args.verify, args.check):
+        result = {"name": name, **measure(args.src.resolve(), case_argv, args.repeats)}
+        results.append(result)
+        clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
+        ok = ok and clean
+        print(f"{name}: median {result['median_s']} s"
+              + ("" if clean else f", exit codes {result['exit_codes']}, reports differ or fail"),
+              file=sys.stderr)
+
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.setdefault("runs", {})[args.label] = {
+        "machine": machine(),
+        "repeats": args.repeats,
+        "cases": results,
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
