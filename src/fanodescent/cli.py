@@ -84,7 +84,18 @@ def _q(x: Fraction | int) -> str:
     return str(Fraction(x))
 
 
-_RATIONAL_TOKEN = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# ASCII digits only: int() and Fraction() also take digit separators
+# (1_0) and other scripts' digits, and int() surrounding whitespace.
+_INTEGER = r"[+-]?[0-9]+"
+_INTEGER_TOKEN = re.compile(_INTEGER)
+_RATIONAL_TOKEN = re.compile(_INTEGER + r"(/[0-9]+)?")
+
+
+def _parse_integer(text: str) -> int:
+    """The integer ``text`` spells as [+-]digits; ValueError otherwise."""
+    if not _INTEGER_TOKEN.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_split_vector_file(path: str | Path) -> SplitChernVector:
@@ -103,8 +114,7 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
         tokens.extend(line.split())
     if not tokens:
         raise ValueError(f"{path}: no data found")
-    integer = _RATIONAL_TOKEN.fullmatch(tokens[0])
-    if integer is None or integer[1]:
+    if not _INTEGER_TOKEN.fullmatch(tokens[0]):
         raise ValueError(f"{path}: first token must be the integer dimension")
     dim = int(tokens[0])
     if dim < 1:
@@ -127,7 +137,7 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
@@ -137,7 +147,7 @@ def _positive_int(text: str) -> int:
 
 def _degree_list(text: str) -> tuple[int, ...]:
     try:
-        degrees = tuple(int(tok) for tok in text.split(",") if tok != "")
+        degrees = tuple(_parse_integer(tok) for tok in text.split(",") if tok != "")
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
@@ -311,7 +321,7 @@ def _resolve_vector(
         raise ValueError("a manifold family name (or --input FILE) is required")
     name = args.name[0]
     try:
-        numbers = [int(tok) for tok in args.name[1:]]
+        numbers = [_parse_integer(tok) for tok in args.name[1:]]
     except ValueError:
         raise ValueError(
             f"manifold parameters must be integers, got {args.name[1:]}"

@@ -5,7 +5,8 @@ iterated minimal family in terms of the Chern scalars of the starting
 manifold (all curve degrees past the first step equal to 1).  Three
 independent routes compute the same numbers:
 
-* a Bernoulli convolution over the iteration depth i, filled bottom-up,
+* a Bernoulli recursion over the iteration depth i, filled in integer
+  columns, one Toeplitz step per depth,
 * closed forms as reciprocal sums over integer compositions (j = 1, 2),
   tabulated by a dynamic programme over the last part,
 * coefficients of a rising-factorial generating polynomial (j = 1, 2).
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .exact import _symmetric_expansions, as_rational, extend_bernoulli
@@ -133,7 +135,7 @@ class Polynomial:
 
 
 class CoeffTable:
-    """Table of descent coefficients, filled bottom-up in integer rows.
+    """Table of descent coefficients, filled level by level in integer columns.
 
     ``coefficient(i, j, k)`` is the weight of the degree-k Chern scalar
     of the starting manifold inside the degree-j Chern scalar of its
@@ -141,113 +143,117 @@ class CoeffTable:
     i = 0 is the identity descent (weight 1 exactly when k = j), which
     keeps certificate replays uniform at the first level.
 
-    Level i is built from level i - 1 alone: row j of level i is
-    ``sum_{m=0}^{j} b_m * row(i-1, j+1-m)`` with the fixed weights
-    ``b_m = (-1)^m B_m / m!``, rows padded with zeros to length i + j.
-    Every level holds the rows 1..R for some R.  A read that misses at
-    (i, j) extends the band below it, working upward from level 0: level
-    i - d gets rows 1..j + d, which is exactly what row (i, j) pulls in.
-    No step recurses, so depth is bounded by memory, not by the stack.
+    Depth i is depth i - 1 followed by one more step, and one step is
+    the Toeplitz matrix of the weights ``b_m = (-1)^m B_m / m!``:
+    ``c(i, j, k) = sum_l c(i-1, j, l) * b_{l+1-k}``.  Row (i, j) thus
+    needs row (i - 1, j) alone, and the table keeps one column of rows
+    per j, from the unit row at depth 0 down.  A read that misses at
+    (i, j) extends column j only, from its deepest row to depth i: the
+    step to depth d costs about (d + j)^2 / 2 big-integer multiply-adds,
+    so a column grown from depth 0 to depth i costs about
+    ((i + j)^3 - j^3) / 6, and the other columns are not touched.  No
+    step recurses, so depth is bounded by memory, not by the stack.
+    Weights enter by value (zero weights add nothing), so an overridden
+    Bernoulli prefix whose odd B_m do not vanish is followed exactly.
 
     A row is stored as integer numerators over one common denominator,
-    reduced by one gcd pass; each term of a row costs one big-integer
-    multiply-add per entry instead of a Fraction normalisation.  The
-    Fraction entries of a row are built once, the first time the row is
-    read, so reads are plain list indexing and return the same objects.
+    reduced by one gcd pass.  ``dot`` sums a row against rational
+    scalars in integers and builds one Fraction for the result.  The
+    Fraction entries that ``coefficient`` returns are built once per
+    row, the first time the row is read that way, so repeated reads
+    return the same objects.
 
     Entries never change once computed, so threads may share a table
-    for reads inside a band that is already filled; growing the band is
-    not thread-safe.  The Bernoulli prefix may be overridden (used by
-    the corruption hook in the command-line tool); lazily extended
-    entries then follow consistently from the override.
+    for reads of rows that already exist; growing a column is not
+    thread-safe.  The Bernoulli prefix may be overridden (used by the
+    corruption hook in the command-line tool); lazily extended entries
+    then follow consistently from the override.
     """
 
     def __init__(self, bernoulli: Sequence[Fraction] | None = None):
         self._bernoulli = [Fraction(b) for b in bernoulli] if bernoulli else [Fraction(1)]
         if self._bernoulli[0] != 1:
             raise ValueError("B_0 must be 1")
-        # b_m as (numerator, denominator) pairs.
-        self._weights: list[tuple[int, int]] = []
-        # Per level, the rows 1..R as (numerators, common denominator).
-        self._rows: list[list[tuple[list[int], int]]] = []
-        # Per level, the same rows as Fractions, or None until first read.
-        self._fractions: list[list[list[Fraction] | None]] = []
+        # b_m as (numerator, denominator) pairs, from b_0 = 1, and the lcm
+        # of the denominators of b_0..b_m.
+        self._weights: list[tuple[int, int]] = [(1, 1)]
+        self._lcms: list[int] = [1]
+        # Per j, the rows (0, j), (1, j), ... as (numerators, common denominator).
+        self._columns: dict[int, list[tuple[list[int], int]]] = {}
+        # Per (i, j), the row as Fractions, built on its first coefficient read.
+        self._fractions: dict[tuple[int, int], list[Fraction]] = {}
 
     def bernoulli_number(self, m: int) -> Fraction:
         return extend_bernoulli(self._bernoulli, m)[m]
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
-        if i < 0 or j < 1:
-            raise ValueError(f"coefficient indices require i >= 0 and j >= 1, got ({i}, {j})")
+        _check_indices(i, j)
         if not 1 <= k <= i + j:
             raise ValueError(f"k = {k} out of range [1, {i + j}] for (i, j) = ({i}, {j})")
         try:
-            return self._fractions[i][j - 1][k - 1]
-        except (IndexError, TypeError):
-            return self._row(i, j)[k - 1]
+            return self._fractions[i, j][k - 1]
+        except KeyError:
+            nums, den = self._row(i, j)
+            row = self._fractions[i, j] = [Fraction(n, den) for n in nums]
+            return row[k - 1]
 
-    def _row(self, i: int, j: int) -> list[Fraction]:
-        """Row (i, j) as Fractions, filling the band below it first."""
-        self._fill(i, j)
-        fractions = self._fractions[i]
-        if fractions[j - 1] is None:
-            nums, den = self._rows[i][j - 1]
-            fractions[j - 1] = [Fraction(n, den) for n in nums]
-        return fractions[j - 1]
+    def dot(self, i: int, j: int, x: Sequence[Fraction]) -> Fraction:
+        """sum_{k=1}^{i+j} c(i, j, k) * x[k-1], as one Fraction.
 
-    def _fill(self, i: int, j: int) -> None:
-        """Give level i - d the rows 1..j + d for d = i, ..., 0."""
-        while len(self._rows) <= i:
-            self._rows.append([])
-            self._fractions.append([])
-        weights = self._weights
-        if len(weights) <= i + j:
-            extend_bernoulli(self._bernoulli, i + j)
-            for m in range(len(weights), i + j + 1):
+        ``x`` must hold at least i + j rational scalars (floats and bools
+        are refused); later ones are ignored.  The scalars are brought
+        over their least common denominator and summed against the row's
+        integer numerators, so no Fraction is built per term.
+        """
+        _check_indices(i, j)
+        n = i + j
+        if len(x) < n:
+            raise IndexError(f"row ({i}, {j}) needs {n} scalars, got {len(x)}")
+        nums, den = self._row(i, j)
+        head = [v if type(v) is Fraction else as_rational(v) for v in x[:n]]
+        common = 1
+        for v in head:
+            common = lcm(common, v.denominator)
+        scaled = [v.numerator * (common // v.denominator) for v in head]
+        return Fraction(sum(map(mul, nums, scaled)), den * common)
+
+    def _row(self, i: int, j: int) -> tuple[list[int], int]:
+        """Row (i, j) in integers, extending column j to depth i first."""
+        column = self._columns.get(j)
+        if column is None:
+            column = self._columns[j] = [([0] * (j - 1) + [1], 1)]
+        if len(column) > i:
+            return column[i]
+        weights, lcms = self._weights, self._lcms
+        if len(weights) < i + j:
+            extend_bernoulli(self._bernoulli, i + j - 1)
+            for m in range(len(weights), i + j):
                 b = (-1) ** m * self._bernoulli[m] / factorial(m)
                 weights.append((b.numerator, b.denominator))
-        level0 = self._rows[0]
-        for r in range(len(level0) + 1, i + j + 1):
-            level0.append(([0] * (r - 1) + [1], 1))
-            self._fractions[0].append(None)
-        for level in range(1, i + 1):
-            prev, rows = self._rows[level - 1], self._rows[level]
-            for r in range(len(rows) + 1, j + i - level + 1):
-                rows.append(_convolve(weights, prev, r))
-                self._fractions[level].append(None)
+                lcms.append(lcm(lcms[-1], b.denominator))
+        for depth in range(len(column), i + 1):
+            prev, prev_den = column[-1]
+            # prev holds k = 1..top; row entry k sums prev[l-1] * b_{l+1-k}.
+            top = depth - 1 + j
+            scale = lcms[top]
+            w = [num * (scale // den) for num, den in weights[: top + 1]]
+            nums = [sum(map(mul, prev, w[1:]))]
+            nums += [sum(map(mul, prev[start:], w)) for start in range(top)]
+            den = g = prev_den * scale
+            for a in nums:
+                g = gcd(g, a)
+                if g == 1:
+                    break
+            if g != 1:
+                nums = [a // g for a in nums]
+                den //= g
+            column.append((nums, den))
+        return column[i]
 
 
-def _convolve(
-    weights: list[tuple[int, int]], prev: list[tuple[list[int], int]], j: int
-) -> tuple[list[int], int]:
-    """Row j of a level from the rows of the level below, in lowest terms.
-
-    Terms with a zero weight are skipped by value: under an overridden
-    Bernoulli prefix the odd B_m for m >= 3 need not vanish.
-    """
-    terms = []
-    common = 1
-    for m in range(j + 1):
-        num, den = weights[m]
-        if num:
-            row_nums, row_den = prev[j - m]
-            scale = den * row_den
-            # Pairwise: lcm(*generator) builds resized argument tuples,
-            # which pile up in the interpreter's tuple free lists.
-            common = lcm(common, scale)
-            terms.append((num, scale, row_nums))
-    # m = 0 has weight 1 and the full row length, so it seeds the sum.
-    num, scale, row_nums = terms[0]
-    factor = num * (common // scale)
-    acc = [factor * n for n in row_nums]
-    for num, scale, row_nums in terms[1:]:
-        factor = num * (common // scale)
-        acc[: len(row_nums)] = [a + factor * n for a, n in zip(acc, row_nums)]
-    g = gcd(common, *acc)
-    if g != 1:
-        acc = [a // g for a in acc]
-        common //= g
-    return acc, common
+def _check_indices(i: int, j: int) -> None:
+    if i < 0 or j < 1:
+        raise ValueError(f"coefficient indices require i >= 0 and j >= 1, got ({i}, {j})")
 
 
 _SHARED = CoeffTable()

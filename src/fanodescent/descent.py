@@ -83,7 +83,12 @@ class SplitChernVector:
     label: str | None = None
 
     def __post_init__(self):
-        coerced = tuple(as_rational(s) for s in self.scalars)
+        # Tuples are built from lists here and in the descent and gate
+        # results: tuple() over a generator over-allocates and then
+        # shrinks, and the shrunk tuples pile up in the interpreter's tuple
+        # free lists until a full garbage collection, megabytes over a
+        # long run of small requests.
+        coerced = tuple([as_rational(s) for s in self.scalars])
         if not coerced:
             raise ValueError("a split Chern vector needs at least one scalar")
         object.__setattr__(self, "scalars", coerced)
@@ -180,11 +185,7 @@ def iterate_scalar(
     the powers of the first curve degree (r_k * a^k).  Depth 0 is the
     identity.
     """
-    tab = table or shared_table()
-    s = Fraction(-i, factorial(j))
-    for k in range(1, i + j + 1):
-        s += tab.coefficient(i, j, k) * x[k - 1]
-    return s
+    return Fraction(-i, factorial(j)) + (table or shared_table()).dot(i, j, x)
 
 
 def _weighted(v: SplitChernVector, a: int, top: int) -> list[Fraction]:
@@ -208,7 +209,7 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
     if d <= 0:
         return DescentStep(a, d, None)
     x = _weighted(v, a, d + 1)
-    scalars = tuple(iterate_scalar(x, 1, j, table) for j in range(1, d + 1))
+    scalars = tuple([iterate_scalar(x, 1, j, table) for j in range(1, d + 1)])
     return DescentStep(a, d, SplitChernVector(scalars))
 
 
@@ -239,7 +240,7 @@ def descend_direct(
                 f"no dimension-{i} iterate exists"
             )
     return SplitChernVector(
-        tuple(iterate_scalar(x, i, j, tab) for j in range(1, d + 1))
+        tuple([iterate_scalar(x, i, j, tab) for j in range(1, d + 1)])
     )
 
 
@@ -286,7 +287,7 @@ def descend_chain(
         else:
             current = step.descended
     return ChainReport(
-        tuple(steps), tuple(s.degree_used for s in steps), terminal, n_value
+        tuple(steps), tuple([s.degree_used for s in steps]), terminal, n_value
     )
 
 

@@ -197,9 +197,7 @@ def check_hypotheses(
             "Chern scalar vanishes for k > dim, so a positive threshold "
             "there can never be met"
         )
-    per_k = tuple(
-        MarginRow(k, gate.threshold(m, k), v.ch(k)) for k in range(1, m + 1)
-    )
+    per_k = tuple([MarginRow(k, gate.threshold(m, k), v.ch(k)) for k in range(1, m + 1)])
     passed = all(row.margin >= 0 for row in per_k)
     claims = {
         "degree_one_cover": degree_one_cover,
@@ -322,16 +320,16 @@ def proof_trace(
     levels = []
     for i in range(1, m):
         dim_full = iterate_scalar(x, i - 1, 1, tab) - 2
-        c1_full = iterate_scalar(x, i, 1, tab)
         t2_full = iterate_scalar(x, i - 1, 2, tab)
         if theorem == THM4:
             # c1 keeps the top descent term aside: it is a positive class
             # on its own, so positivity only needs the remaining sum.
-            c1_full -= tab.coefficient(i, 1, i + 1) * x[i]
+            c1_full = iterate_scalar([*x[:i], 0], i, 1, tab)
             dim_closed = Fraction(total - i - 1)
             c1_closed = -i + (1 - Fraction(1, factorial(i + 1))) * total
             t2_closed = Fraction(total - i + 1, 2)
         else:
+            c1_full = iterate_scalar(x, i, 1, tab)
             dim_closed = c1_closed = Fraction(total - 2 * i - 2)
             t2_closed = dim_closed / 2
         t2_asserted = gate.t2_every_level or i + 1 < m

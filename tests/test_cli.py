@@ -140,6 +140,36 @@ def test_exit_two_on_bad_parameters():
     assert run_cli(["check", "--theorem", "thm4"])[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "projective_space", "1_0"],
+        ["chain", "projective_space", "\uff13"],
+        ["chain", "projective_space", " 3"],
+        ["chain", "grassmannian", "2", "5\n"],
+        ["chain", "quadric", "5", "--degrees", "1,1_0"],
+        ["chain", "quadric", "5", "--degrees", "1,\u0661"],
+        ["verify", "--max-i", "\uff13"],
+        ["verify", "--max-n", "1_0"],
+        ["verify", "--max-i", "3.0"],
+        ["check", "projective_space", "4", "--theorem", "thm4", "--m", "\u0663"],
+        ["check", "projective_space", "0x4", "--theorem", "thm4"],
+    ],
+)
+def test_non_ascii_or_separated_integers_exit_two(argv):
+    # int() alone accepts digit separators, other scripts' digits and
+    # surrounding whitespace; the command line takes [+-]digits only.
+    code, out, _ = run_cli(argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_signed_ascii_integers_parse():
+    assert run_cli(["chain", "projective_space", "+3"])[0] == 0
+    assert run_cli(["verify", "--max-i", "+2", "--max-n", "03"])[0] == 0
+    assert run_cli(["chain", "quadric", "5", "--degrees", "+1,1,2"])[0] == 0
+
+
 def test_exit_two_on_invalid_flags():
     assert run_cli(["verify", "--max-i", "0"])[0] == 2
     assert run_cli(["check", "quadric", "4", "--theorem", "thm9"])[0] == 2

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import functools
+import random
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
 from fanodescent.coeffs import CoeffTable, generating_polynomial
-from fanodescent.descent import descend_direct, projective_space
-from fanodescent.exact import bernoulli_table
+from fanodescent.descent import descend_direct, iterate_scalar, projective_space
+from fanodescent.exact import bernoulli_table, extend_bernoulli
 
 
 def _flipped_seed() -> list[Fraction]:
@@ -52,6 +54,97 @@ class ReferenceTable:
                     )
             self._memo[key] = value
         return self._memo[key]
+
+
+class BandTable:
+    """The earlier production fill, kept as a second oracle.
+
+    Level i is the j-convolution ``row(i, j) = sum_m b_m * row(i-1, j+1-m)``
+    of level i - 1, in integer rows; a read at (i, j) first gives level
+    i - d the rows 1..j + d for d = i, ..., 0.
+    """
+
+    def __init__(self, bernoulli=None):
+        self._bernoulli = [Fraction(b) for b in bernoulli] if bernoulli else [Fraction(1)]
+        self._weights = []
+        self._rows = []
+
+    def coefficient(self, i, j, k):
+        self._fill(i, j)
+        nums, den = self._rows[i][j - 1]
+        return Fraction(nums[k - 1], den)
+
+    def _fill(self, i, j):
+        while len(self._rows) <= i:
+            self._rows.append([])
+        weights = self._weights
+        if len(weights) <= i + j:
+            extend_bernoulli(self._bernoulli, i + j)
+            for m in range(len(weights), i + j + 1):
+                b = (-1) ** m * self._bernoulli[m] / factorial(m)
+                weights.append((b.numerator, b.denominator))
+        level0 = self._rows[0]
+        for r in range(len(level0) + 1, i + j + 1):
+            level0.append(([0] * (r - 1) + [1], 1))
+        for level in range(1, i + 1):
+            prev, rows = self._rows[level - 1], self._rows[level]
+            for r in range(len(rows) + 1, j + i - level + 1):
+                rows.append(_convolve(weights, prev, r))
+
+
+def _convolve(weights, prev, j):
+    """Row j of a level from the rows of the level below, zero weights skipped."""
+    terms = []
+    common = 1
+    for m in range(j + 1):
+        num, den = weights[m]
+        if num:
+            row_nums, row_den = prev[j - m]
+            scale = den * row_den
+            common = lcm(common, scale)
+            terms.append((num, scale, row_nums))
+    # m = 0 has weight 1 and the full row length, so it seeds the sum.
+    num, scale, row_nums = terms[0]
+    factor = num * (common // scale)
+    acc = [factor * n for n in row_nums]
+    for num, scale, row_nums in terms[1:]:
+        factor = num * (common // scale)
+        acc[: len(row_nums)] = [a + factor * n for a, n in zip(acc, row_nums)]
+    g = gcd(common, *acc)
+    if g != 1:
+        acc = [a // g for a in acc]
+        common //= g
+    return acc, common
+
+
+BAND_I, BAND_J = 30, 14
+
+
+@functools.lru_cache(maxsize=None)
+def _band_rows(seed):
+    """Every (i, j) row of the band oracle for i <= BAND_I, j <= BAND_J."""
+    band = BandTable(_flipped_seed() if seed else None)
+    return {
+        (i, j): [band.coefficient(i, j, k) for k in range(1, i + j + 1)]
+        for i in range(BAND_I + 1)
+        for j in range(1, BAND_J + 1)
+    }
+
+
+@pytest.mark.parametrize("seed", [None, "flipped"])
+@pytest.mark.parametrize("order", ["deep_first", "shallow_first"])
+def test_columns_match_the_band_fill(seed, order):
+    expected = _band_rows(seed)
+    table = CoeffTable(_flipped_seed() if seed else None)
+    for i, j in sorted(expected, reverse=order == "deep_first"):
+        row = [table.coefficient(i, j, k) for k in range(1, i + j + 1)]
+        assert row == expected[i, j], (i, j)
+
+
+def test_degree_one_constant_term_is_a_reciprocal():
+    table = CoeffTable()
+    for i in range(121):
+        assert table.coefficient(i, 1, 1) == Fraction(1, i + 1)
 
 
 MAX_I, MAX_J = 12, 8
@@ -111,7 +204,73 @@ def test_repeated_reads_return_the_same_object():
     table = CoeffTable()
     for key in [(0, 3, 3), (0, 3, 1), (5, 2, 4), (9, 1, 10)]:
         assert table.coefficient(*key) is table.coefficient(*key)
-    # Growing the band afterwards keeps rows already read.
+    # Growing the columns afterwards keeps rows already read.
     first = table.coefficient(3, 1, 2)
     table.coefficient(12, 6, 1)
     assert table.coefficient(3, 1, 2) is first
+
+
+def _random_scalars(rng, count):
+    """Rationals over pairwise coprime prime-power denominators, with signs and zeros."""
+    dens = [2**5, 3**4, 5**3, 7**2, 11, 13, 17, 19, 23, 29, 31, 37]
+    out = []
+    for pos in range(count):
+        if rng.random() < 0.2:
+            out.append(Fraction(0))
+        else:
+            out.append(Fraction(rng.randint(-10**6, 10**6), dens[pos % len(dens)]))
+    return out
+
+
+def _written_out(table, i, j, x):
+    total = Fraction(0)
+    for k in range(1, i + j + 1):
+        total += table.coefficient(i, j, k) * x[k - 1]
+    return total
+
+
+@pytest.mark.parametrize("seed", [None, "flipped"])
+def test_dot_and_iterate_scalar_match_the_written_out_sum(seed):
+    rng = random.Random(7)
+    table = CoeffTable(_flipped_seed() if seed else None)
+    for i in range(0, 25, 3):
+        for j in range(1, 9):
+            # Longer than i + j: the surplus must be ignored.
+            x = _random_scalars(rng, i + j + rng.randint(0, 3))
+            expected = _written_out(table, i, j, x)
+            assert table.dot(i, j, x) == expected
+            assert type(table.dot(i, j, tuple(x))) is Fraction
+            scalar = iterate_scalar(x, i, j, table)
+            assert scalar == Fraction(-i, factorial(j)) + expected
+            assert type(scalar) is Fraction
+    # Integers are scalars too.
+    assert table.dot(2, 1, [1, 2, 3]) == _written_out(table, 2, 1, [1, 2, 3])
+
+
+def test_dot_reads_a_cold_table():
+    x = _random_scalars(random.Random(3), 40)
+    assert CoeffTable().dot(20, 20, x) == _written_out(CoeffTable(), 20, 20, x)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 4), (3, 1), (5, 2), (9, 7)])
+def test_short_scalar_lists_raise_index_error(i, j):
+    table = CoeffTable()
+    x = _random_scalars(random.Random(i + j), i + j - 1)
+    with pytest.raises(IndexError):
+        table.dot(i, j, x)
+    with pytest.raises(IndexError):
+        iterate_scalar(x, i, j, table)
+    with pytest.raises(IndexError):
+        iterate_scalar([], i, j, table)
+
+
+def test_dot_refuses_floats_bools_and_bad_indices():
+    table = CoeffTable()
+    with pytest.raises(ValueError):
+        table.dot(1, 1, [Fraction(1), 0.5])
+    with pytest.raises(ValueError):
+        table.dot(1, 1, [True, Fraction(1)])
+    with pytest.raises(ValueError):
+        table.dot(-1, 1, [Fraction(1)])
+    with pytest.raises(ValueError):
+        table.dot(1, 0, [Fraction(1)])

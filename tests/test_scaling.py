@@ -14,7 +14,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "scaling.py"
 def _run(out: Path, label: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(SCRIPT), "--out", str(out), "--label", label,
-         "--repeats", "1", "--verify", "3", "--check", "5"],
+         "--repeats", "1", "--verify", "3", "--check", "5", "--chain", "4"],
         capture_output=True,
         text=True,
     )
@@ -33,6 +33,7 @@ def test_scaling_record_smoke(tmp_path):
     assert [case["name"] for case in run["cases"]] == [
         "verify M=3",
         "check projective_space m=5 thm4",
+        "chain projective_space n=4",
     ]
     for case in run["cases"]:
         assert case["exit_codes"] == [0]

@@ -35,7 +35,9 @@ def _sizes(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok]
 
 
-def cases(verify_sizes: list[int], check_sizes: list[int]) -> list[tuple[str, list[str]]]:
+def cases(
+    verify_sizes: list[int], check_sizes: list[int], chain_sizes: list[int]
+) -> list[tuple[str, list[str]]]:
     """(name, argv) for every requested size, in the order they run."""
     out = []
     for m in verify_sizes:
@@ -43,6 +45,8 @@ def cases(verify_sizes: list[int], check_sizes: list[int]) -> list[tuple[str, li
     for m in check_sizes:
         argv = ["check", "projective_space", str(m), "--theorem", "thm4", "--m", str(m), "--json"]
         out.append((f"check projective_space m={m} thm4", argv))
+    for n in chain_sizes:
+        out.append((f"chain projective_space n={n}", ["chain", "projective_space", str(n), "--json"]))
     return out
 
 
@@ -98,14 +102,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=3, help="fresh processes per case")
     parser.add_argument("--verify", type=_sizes, default=[20, 40, 80],
                         help="comma-separated M for verify --max-i M --max-n M")
-    parser.add_argument("--check", type=_sizes, default=[50, 100],
+    parser.add_argument("--check", type=_sizes, default=[50, 100, 150, 200],
                         help="comma-separated m for check projective_space m --theorem thm4 --m m")
+    parser.add_argument("--chain", type=_sizes, default=[100],
+                        help="comma-separated n for chain projective_space n")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     results, ok = [], True
-    for name, case_argv in cases(args.verify, args.check):
+    for name, case_argv in cases(args.verify, args.check, args.chain):
         result = {"name": name, **measure(args.src.resolve(), case_argv, args.repeats)}
         results.append(result)
         clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
