@@ -13,21 +13,25 @@ independent routes compute the same numbers:
 
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
-discrepancy; a run over many depths builds what they share once and
-compares in integers.  Every route is polynomial in the depth: nothing here
-enumerates compositions, and the closed forms keep no cache between
-calls.
+discrepancy.  Each route yields integer rows (numerators over one common
+denominator), and every identity is one entry-by-entry comparison of two
+such rows by integer cross-multiplication; a Fraction is built only for
+a mismatch or for a public function's result.  A run over many depths
+builds what they share once.  Every route is polynomial in the depth:
+nothing here enumerates compositions, and the closed forms keep no cache
+between calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .exact import _symmetric_expansions, as_rational, extend_bernoulli
+from .exact import _check_int, _symmetric_expansions, as_rational, extend_bernoulli
 
 __all__ = [
     "Polynomial",
@@ -171,7 +175,7 @@ class CoeffTable:
     """
 
     def __init__(self, bernoulli: Sequence[Fraction] | None = None):
-        self._bernoulli = [Fraction(b) for b in bernoulli] if bernoulli else [Fraction(1)]
+        self._bernoulli = [as_rational(b) for b in bernoulli] if bernoulli else [Fraction(1)]
         if self._bernoulli[0] != 1:
             raise ValueError("B_0 must be 1")
         # b_m as (numerator, denominator) pairs, from b_0 = 1, and the lcm
@@ -251,9 +255,13 @@ class CoeffTable:
         return column[i]
 
 
+_INDICES = "coefficient indices require i >= 0 and j >= 1"
+_DEPTH = "iteration depth must be >= 1"
+
+
 def _check_indices(i: int, j: int) -> None:
-    if i < 0 or j < 1:
-        raise ValueError(f"coefficient indices require i >= 0 and j >= 1, got ({i}, {j})")
+    _check_int(i, 0, _INDICES, (i, j))
+    _check_int(j, 1, _INDICES, (i, j))
 
 
 _SHARED = CoeffTable()
@@ -269,8 +277,8 @@ def descent_coefficient(i: int, j: int, k: int, table: CoeffTable | None = None)
     return (table or _SHARED).coefficient(i, j, k)
 
 
-def _composition_rows(max_n: int) -> list[list[Fraction]]:
-    """rows[n][k] = S(k, n) for 0 <= k <= n <= max_n, without enumeration.
+def _composition_rows(max_n: int) -> list[list[int]]:
+    """rows[n][k] = n! * S(k, n) for 0 <= k <= n <= max_n, without enumeration.
 
     S(k, n) is the sum of 1/(l_1 * ... * l_k) over the compositions of n
     into k positive parts.  Splitting off the last part l gives
@@ -280,7 +288,7 @@ def _composition_rows(max_n: int) -> list[list[Fraction]]:
     n! / ((n-l)! * l) = C(n, l) * (l-1)!, so each of the O(max_n^3)
     terms is one big-integer multiply-add instead of a Fraction
     normalisation.  Neither the Bernoulli numbers nor the elementary
-    symmetric values enter.
+    symmetric values enter.  Row n is thus S(., n) over the denominator n!.
     """
     scaled = [[1]]
     for n in range(1, max_n + 1):
@@ -289,45 +297,45 @@ def _composition_rows(max_n: int) -> list[list[Fraction]]:
         for k in range(1, n + 1):
             row.append(sum(weights[l] * scaled[n - l][k - 1] for l in range(1, n - k + 2)))
         scaled.append(row)
-    return [[Fraction(s, factorial(n)) for s in row] for n, row in enumerate(scaled)]
+    return scaled
 
 
-def _closed_row(rows: list[list[Fraction]], i: int, j: int) -> list[Fraction]:
-    """Closed-form row (i, j), k = 1..i+j, from composition rows through i + j.
+def _closed_row(rows: list[list[int]], i: int, j: int) -> tuple[list[int], int]:
+    """Closed-form row (i, j), k = 1..i+j, as numerators over one denominator.
 
     j = 1: S(k, i+1).  j = 2: S(k, i+2) - S(k, i+1)/2, the second term
-    vanishing at k = i + 2.
+    vanishing at k = i + 2; over 2 * (i+2)! its numerator is
+    2 * rows[i+2][k] - (i+2) * rows[i+1][k].
     """
-    row = rows[i + j][1:]
-    if j == 2:
-        for pos, value in enumerate(rows[i + 1][1:]):
-            row[pos] -= value / 2
-    return row
+    if j == 1:
+        return rows[i + 1][1:], factorial(i + 1)
+    nums = [2 * a - (i + 2) * b for a, b in zip(rows[i + 2][1:], [*rows[i + 1][1:], 0])]
+    return nums, 2 * factorial(i + 2)
 
 
 def composition_sum(k: int, n: int) -> Fraction:
     """Sum of 1/(l_1 * ... * l_k) over all compositions of n into k positive parts."""
     if not 1 <= k <= n:
         raise ValueError(f"composition_sum requires 1 <= k <= n, got ({k}, {n})")
-    return _composition_rows(n)[n][k]
+    return Fraction(_composition_rows(n)[n][k], factorial(n))
 
 
 def ch1_coefficient_closed(i: int, k: int) -> Fraction:
     """Closed form for the degree-1 row: reciprocal sum over compositions of i+1."""
-    if i < 1:
-        raise ValueError(f"iteration depth must be >= 1, got {i}")
+    _check_int(i, 1, _DEPTH)
     if not 1 <= k <= i + 1:
         raise ValueError(f"k = {k} out of range [1, {i + 1}]")
-    return _closed_row(_composition_rows(i + 1), i, 1)[k - 1]
+    nums, den = _closed_row(_composition_rows(i + 1), i, 1)
+    return Fraction(nums[k - 1], den)
 
 
 def ch2_coefficient_closed(i: int, k: int) -> Fraction:
     """Closed form for the degree-2 row: compositions of i+2 minus half those of i+1."""
-    if i < 1:
-        raise ValueError(f"iteration depth must be >= 1, got {i}")
+    _check_int(i, 1, _DEPTH)
     if not 1 <= k <= i + 2:
         raise ValueError(f"k = {k} out of range [1, {i + 2}]")
-    return _closed_row(_composition_rows(i + 2), i, 2)[k - 1]
+    nums, den = _closed_row(_composition_rows(i + 2), i, 2)
+    return Fraction(nums[k - 1], den)
 
 
 def _generating_numerators(rising: list[int], i: int, j: int) -> tuple[list[int], int]:
@@ -349,8 +357,7 @@ def generating_polynomial(i: int, j: int) -> Polynomial:
     j = 1: t(t+1)...(t+i) / (i+1)!
     j = 2: t(t+1)...(t+i)(t + i/2) / (i+2)!
     """
-    if i < 1:
-        raise ValueError(f"iteration depth must be >= 1, got {i}")
+    _check_int(i, 1, _DEPTH)
     if j not in (1, 2):
         raise ValueError(f"generating polynomials exist only for j in {{1, 2}}, got {j}")
     *_, rising = _symmetric_expansions(range(1, i + 1))
@@ -397,21 +404,23 @@ class IdentityReport:
         return None
 
 
-def _over_common_denominator(row: list[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of ``row`` over the least common denominator."""
-    den = 1
-    for c in row:
-        den = lcm(den, c.denominator)
-    return [c.numerator * (den // c.denominator) for c in row], den
+_SYMMETRIC = "composition_symmetric_identity"
 
 
-def _compare_row(
-    name: str, pairs: list[tuple[str, Fraction, Fraction]]
+def _compare(
+    name: str, where: str, expected: tuple[list[int], int], actual: tuple[list[int], int]
 ) -> IdentityCheck:
+    """Compare two exact rows, each integer numerators over one denominator.
+
+    Entries are compared by cross-multiplying integers.  A mismatch at
+    1-based position p is reported at ``where.format(p)`` with both values
+    as Fractions; no Fraction is built otherwise.
+    """
+    (expected_nums, expected_den), (actual_nums, actual_den) = expected, actual
     found = tuple(
-        Discrepancy(loc, expected, actual)
-        for loc, expected, actual in pairs
-        if expected != actual
+        Discrepancy(where.format(p), Fraction(e, expected_den), Fraction(a, actual_den))
+        for p, (e, a) in enumerate(zip(expected_nums, actual_nums, strict=True), 1)
+        if e * actual_den != a * expected_den
     )
     return IdentityCheck(name, found)
 
@@ -419,90 +428,71 @@ def _compare_row(
 class _IdentityPass:
     """What every depth of one identity run shares, built once up to n = top.
 
-    Holds the composition rows S(k, n) for n <= top, the integer
-    expansions ``rising[m]`` = e_0, ..., e_m of 1, ..., m for m < top
-    (one product recurrence, one factor per m), and the outcome of the
-    composition/symmetric identity at every 1 <= k <= n <= top, each
-    (k, n) compared once.  ``report(i)`` for i <= top - 2 and
-    ``symmetric_check(n)`` for n <= top only read them, so a run over all
-    depths is O(top^3) exact operations besides the coefficient table.
-    Comparisons cross-multiply integers; the Fractions of a discrepancy
-    are built only on a mismatch.
+    Holds the factorials through top, the composition rows n! * S(k, n)
+    for n <= top, the integer expansions ``rising[m]`` = e_0, ..., e_m of
+    1, ..., m for m < top (one product recurrence, one factor per m), and
+    the outcome of the composition/symmetric identity
+    n! * S(k, n) == k! * e_{n-k}(1, ..., n-1) at every 1 <= k <= n <= top,
+    each (k, n) compared once.  ``report(i)`` for i <= top - 2 and
+    ``symmetric_check(n)`` for n <= top only read them and the table's
+    integer rows, so a run over all depths is O(top^3) exact operations
+    besides the coefficient table.  Every route is an integer row
+    (numerators, denominator) and every comparison goes through
+    ``_compare``, so a Fraction is built only inside a discrepancy.
     """
 
     def __init__(self, top: int):
+        self.factorials = list(accumulate(range(1, top + 1), mul, initial=1))
         self.rows = _composition_rows(top)
         self.rising = list(_symmetric_expansions(range(1, top)))
         self._symmetric: list[Discrepancy] = []
         # _symmetric_upto[n]: the number of discrepancies at sizes <= n.
         self._symmetric_upto = [0]
+        facts = self.factorials
         for n in range(1, top + 1):
-            # S(k, n) == k!/n! * e_{n-k}(1, ..., n-1)
-            n_fact, values = factorial(n), self.rising[n - 1]
-            for k in range(1, n + 1):
-                s, k_fact = self.rows[n][k], factorial(k)
-                if s.numerator * n_fact != k_fact * values[n - k] * s.denominator:
-                    symmetric = Fraction(k_fact, n_fact) * values[n - k]
-                    self._symmetric.append(Discrepancy(f"(k,n)=({k},{n})", symmetric, s))
+            e = self.rising[n - 1]
+            symmetric = [facts[k] * e[n - k] for k in range(1, n + 1)]
+            where = f"(k,n)=({{}},{n})"
+            check = _compare(_SYMMETRIC, where, (symmetric, facts[n]), (self.rows[n][1:], facts[n]))
+            self._symmetric += check.discrepancies
             self._symmetric_upto.append(len(self._symmetric))
 
     def symmetric_check(self, max_n: int) -> IdentityCheck:
         """The composition/symmetric identity for 1 <= k <= n <= max_n."""
-        found = self._symmetric[: self._symmetric_upto[max_n]]
-        return IdentityCheck("composition_symmetric_identity", tuple(found))
+        return IdentityCheck(_SYMMETRIC, tuple(self._symmetric[: self._symmetric_upto[max_n]]))
 
     def report(self, i: int, table: CoeffTable) -> IdentityReport:
         """Every identity at depth i, the symmetric one through n = i + 2."""
-        recursion = {j: [table.coefficient(i, j, k) for k in range(1, i + j + 1)] for j in (1, 2)}
-        scaled = {j: _over_common_denominator(row) for j, row in recursion.items()}
+        facts = self.factorials
+        recursion = {j: table._row(i, j) for j in (1, 2)}
+        # c(i, j, k)/k! for k = 1..i+j over den * (i+j)!, the t^k
+        # coefficients of sum_k c(i, j, k) t^k / k!.
+        series = {}
+        for j, (nums, den) in recursion.items():
+            scale = facts[i + j]
+            series[j] = ([a * (scale // facts[k]) for k, a in enumerate(nums, 1)], den * scale)
+        at_k = {j: f"(i,j,k)=({i},{j},{{}})" for j in (1, 2)}
         checks: list[IdentityCheck] = []
-
         for j in (1, 2):
-            checks.append(
-                _compare_row(
-                    f"recursion_vs_composition_ch{j}",
-                    [
-                        (f"(i,j,k)=({i},{j},{k})", closed, actual)
-                        for k, (closed, actual) in enumerate(
-                            zip(_closed_row(self.rows, i, j), recursion[j]), 1
-                        )
-                    ],
-                )
-            )
+            name, closed = f"recursion_vs_composition_ch{j}", _closed_row(self.rows, i, j)
+            checks.append(_compare(name, at_k[j], closed, recursion[j]))
         for j in (1, 2):
             # The t^k coefficient of the generating polynomial against
             # c(i, j, k)/k!; at t^0 both are 0.
-            product, product_den = _generating_numerators(self.rising[i], i, j)
-            nums, den = scaled[j]
-            found = tuple(
-                Discrepancy(
-                    f"(i,j,k)=({i},{j},{k})",
-                    Fraction(product[k], product_den),
-                    recursion[j][k - 1] / factorial(k),
-                )
-                for k in range(1, i + j + 1)
-                if nums[k - 1] * product_den != product[k] * factorial(k) * den
-            )
-            checks.append(IdentityCheck(f"generating_polynomial_ch{j}", found))
+            product, den = _generating_numerators(self.rising[i], i, j)
+            name = f"generating_polynomial_ch{j}"
+            checks.append(_compare(name, at_k[j], (product[1:], den), series[j]))
         for j in (1, 2):
-            # sum_k c(i, j, k) t^k / k! is total / (den * (i+j)!).  The
-            # generating polynomial is 1/j! at t = 1 and (i + 2^j)/j! at t = 2.
-            nums, den = scaled[j]
-            scale = factorial(i + j)
+            # The generating polynomial is 1/j! at t = 1 and (i + 2^j)/j! at t = 2.
+            nums, den = series[j]
             for t, suffix, closed in ((1, "", 1), (2, "_at_2", i + 2**j)):
-                total = sum(n * (scale // factorial(k)) * t**k for k, n in enumerate(nums, 1))
-                found = ()
-                if total * factorial(j) != closed * den * scale:
-                    expected = Fraction(closed, factorial(j))
-                    found = (Discrepancy(f"i={i}", expected, Fraction(total, den * scale)),)
-                checks.append(IdentityCheck(f"sum_weights_ch{j}{suffix}", found))
+                total = sum(a * t**k for k, a in enumerate(nums, 1))
+                name = f"sum_weights_ch{j}{suffix}"
+                checks.append(_compare(name, f"i={i}", ([closed], facts[j]), ([total], den)))
         for j in (1, 2):
-            checks.append(
-                _compare_row(
-                    f"top_coefficient_ch{j}",
-                    [(f"(i,j,k)=({i},{j},{i + j})", Fraction(1), recursion[j][-1])],
-                )
-            )
+            nums, den = recursion[j]
+            where = f"(i,j,k)=({i},{j},{i + j})"
+            checks.append(_compare(f"top_coefficient_ch{j}", where, ([1], 1), (nums[-1:], den)))
         checks.append(self.symmetric_check(i + 2))
         return IdentityReport(i, tuple(checks))
 
@@ -528,6 +518,5 @@ def verify_identities(i: int, table: CoeffTable | None = None) -> IdentityReport
     thrown on failure; every mismatch is reported with its exact
     rational discrepancy.
     """
-    if i < 1:
-        raise ValueError(f"iteration depth must be >= 1, got {i}")
+    _check_int(i, 1, _DEPTH)
     return _IdentityPass(i + 2).report(i, table or _SHARED)

@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .coeffs import CoeffTable, shared_table
-from .exact import as_rational
+from .coeffs import _DEPTH, CoeffTable, shared_table
+from .exact import _check_int, as_rational
 
 __all__ = [
     "DescentError",
@@ -141,9 +141,7 @@ class ChainReport:
     n_first_non_fano: int | None
 
 
-def _check_degree(a: int) -> None:
-    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-        raise ValueError(f"curve degree must be a positive integer, got {a!r}")
+_DEGREE = "curve degree must be a positive integer"
 
 
 def _family_dim(degree: Fraction, carried: int | None = None, where: str = "") -> int:
@@ -170,7 +168,7 @@ def _family_dim(degree: Fraction, carried: int | None = None, where: str = "") -
 
 def family_dimension(v: SplitChernVector, a: int) -> int:
     """Dimension of the minimal family of degree-a rational curves: r_1*a - 2."""
-    _check_degree(a)
+    _check_int(a, 1, _DEGREE)
     return _family_dim(v.ch(1) * a)
 
 
@@ -204,7 +202,7 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
     InsufficientScalarsError.  For d <= 0 the step records the dimension
     and carries no vector.
     """
-    _check_degree(a)
+    _check_int(a, 1, _DEGREE)
     d = _family_dim(v.ch(1) * a, v.dim)
     if d <= 0:
         return DescentStep(a, d, None)
@@ -225,9 +223,8 @@ def descend_direct(
     with the same per-level dimension bookkeeping the step-by-step walk
     performs, so it raises exactly when the iterated walk would.
     """
-    if i < 1:
-        raise ValueError(f"iteration depth must be >= 1, got {i}")
-    _check_degree(a1)
+    _check_int(i, 1, _DEPTH)
+    _check_int(a1, 1, _DEGREE)
     tab = table or shared_table()
     x = _weighted(v, a1, v.dim)
     d = v.dim
@@ -261,7 +258,7 @@ def descend_chain(
     """
     if degrees is not None:
         for a in degrees:
-            _check_degree(a)
+            _check_int(a, 1, _DEGREE)
     steps: list[DescentStep] = []
     current = v
     terminal = None

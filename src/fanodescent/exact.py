@@ -40,6 +40,17 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
+def _check_int(value: int, least: int, rule: str, got: object = None) -> None:
+    """Refuse ``value`` unless it is an int >= ``least``.
+
+    Only the type ``int`` itself passes: bools, floats and other int
+    subclasses are refused.  The error reads "<rule>, got <got>", ``got``
+    defaulting to ``value``.
+    """
+    if type(value) is not int or value < least:
+        raise ValueError(f"{rule}, got {value if got is None else got!r}")
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with C(n, k) = 0 whenever k > n."""
     if n < 0 or k < 0:

@@ -22,6 +22,7 @@ from math import factorial
 
 from .coeffs import CoeffTable, shared_table
 from .descent import SplitChernVector, iterate_scalar
+from .exact import _check_int
 
 __all__ = [
     "THM4",
@@ -189,8 +190,7 @@ def check_hypotheses(
     thm4, ``all_families_degree_one`` for the thm5 pair.
     """
     gate = _gate(theorem)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_int(m, 1, "m must be >= 1")
     if m > v.dim:
         raise ValueError(
             f"m = {m} exceeds the manifold dimension {v.dim}: the degree-k "

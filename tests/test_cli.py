@@ -154,6 +154,8 @@ def test_exit_two_on_bad_parameters():
         ["verify", "--max-i", "3.0"],
         ["check", "projective_space", "4", "--theorem", "thm4", "--m", "\u0663"],
         ["check", "projective_space", "0x4", "--theorem", "thm4"],
+        ["chain", "quadric", "5", "--degrees", "1,,1"],
+        ["chain", "quadric", "5", "--degrees", "1,1,"],
     ],
 )
 def test_non_ascii_or_separated_integers_exit_two(argv):

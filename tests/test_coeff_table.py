@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 import sys
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
@@ -274,3 +275,10 @@ def test_dot_refuses_floats_bools_and_bad_indices():
         table.dot(-1, 1, [Fraction(1)])
     with pytest.raises(ValueError):
         table.dot(1, 0, [Fraction(1)])
+
+
+@pytest.mark.parametrize("prefix", [[1, 0.1], [True]], ids=["float", "bool"])
+def test_table_refuses_float_and_bool_bernoulli_prefix(prefix):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
+    with pytest.raises(ValueError, match=re.escape(repr(prefix[-1]))):
+        CoeffTable(prefix)

@@ -312,7 +312,23 @@ def test_depth_three_and_four_rows_exist_via_recursion():
 # weighted sums read off a Fraction polynomial by ``evaluate``, and the
 # composition/symmetric identity re-expanded from scratch at every n of
 # every depth.  The composition rows come from the library's DP, looked up
-# at call time, so a test may corrupt them for both sides at once.
+# at call time, so a test may corrupt them for both sides at once; the DP
+# returns n! * S(k, n) in integers, turned into Fractions here.
+
+
+def _reference_rows(max_n):
+    return [
+        [Fraction(s, factorial(n)) for s in row]
+        for n, row in enumerate(coeffs._composition_rows(max_n))
+    ]
+
+
+def _reference_closed_row(rows, i, j):
+    row = rows[i + j][1:]
+    if j == 2:
+        for pos, value in enumerate(rows[i + 1][1:]):
+            row[pos] -= value / 2
+    return row
 
 
 def _reference_expansion(values):
@@ -351,7 +367,7 @@ def _reference_compare(name, pairs):
 
 
 def _reference_verify(i, table):
-    rows = coeffs._composition_rows(i + 2)
+    rows = _reference_rows(i + 2)
     recursion = {j: [table.coefficient(i, j, k) for k in range(1, i + j + 1)] for j in (1, 2)}
     summed = {
         j: Polynomial([Fraction(0)] + [c / factorial(k) for k, c in enumerate(row, 1)])
@@ -359,7 +375,7 @@ def _reference_verify(i, table):
     }
     checks = []
     for j in (1, 2):
-        closed = coeffs._closed_row(rows, i, j)
+        closed = _reference_closed_row(rows, i, j)
         checks.append(
             _reference_compare(
                 f"recursion_vs_composition_ch{j}",
@@ -429,7 +445,7 @@ def _assert_verify_matches_reference(max_i, max_n, flip):
     results = cmd_verify(argparse.Namespace(max_i=max_i, max_n=max_n, flip_b1=flip)).results
     table = _flipped_table() if flip else CoeffTable()
     expected = [_reference_verify(i, table) for i in range(1, max_i + 1)]
-    composition = _reference_symmetric_check(coeffs._composition_rows(max_n))
+    composition = _reference_symmetric_check(_reference_rows(max_n))
     assert [(r["i"], r["passed"]) for r in results["reports"]] == [
         (rep.i, rep.passed) for rep in expected
     ]
@@ -461,7 +477,7 @@ def test_cli_verify_matches_reference_on_corrupted_composition_rows(monkeypatch)
         rows = original(max_n)
         for k, n in ((2, 4), (3, 9)):
             if n <= max_n:
-                rows[n][k] += Fraction(1, 7)
+                rows[n][k] += 1
         return rows
 
     monkeypatch.setattr(coeffs, "_composition_rows", corrupted)
@@ -489,9 +505,7 @@ def test_verify_identities_matches_reference(flip):
 
 def test_composition_symmetric_check_matches_reference():
     for n in range(1, 21):
-        assert composition_symmetric_check(n) == _reference_symmetric_check(
-            coeffs._composition_rows(n)
-        )
+        assert composition_symmetric_check(n) == _reference_symmetric_check(_reference_rows(n))
 
 
 @pytest.mark.parametrize("j", [1, 2])

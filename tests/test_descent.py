@@ -7,7 +7,14 @@ from math import factorial
 
 import pytest
 
-from fanodescent.coeffs import shared_table
+from fanodescent.coeffs import (
+    CoeffTable,
+    ch1_coefficient_closed,
+    ch2_coefficient_closed,
+    generating_polynomial,
+    shared_table,
+    verify_identities,
+)
 from fanodescent.descent import (
     DIMENSION_ZERO,
     INSUFFICIENT_DATA,
@@ -27,6 +34,7 @@ from fanodescent.descent import (
     projective_space,
     quadric,
 )
+from fanodescent.theorems import check_hypotheses, proof_trace
 
 
 def vec(*scalars) -> SplitChernVector:
@@ -70,6 +78,29 @@ def test_curve_degrees_reject_float_and_bool(bad):
         lambda: descend(v, bad),
         lambda: descend_direct(v, 1, bad),
         lambda: descend_chain(v, [bad]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call()
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+def test_integer_indices_reject_float_and_bool(bad):
+    # Depths, coefficient indices and gate levels are ints; True and 1.0
+    # used to pass as 1.
+    v = projective_space(3).vector
+    table = CoeffTable()
+    calls = [
+        lambda: table.coefficient(bad, 1, 1),
+        lambda: table.coefficient(1, bad, 1),
+        lambda: table.dot(bad, 1, [1, 1, 1, 1]),
+        lambda: ch1_coefficient_closed(bad, 1),
+        lambda: ch2_coefficient_closed(bad, 1),
+        lambda: generating_polynomial(bad, 1),
+        lambda: verify_identities(bad, table),
+        lambda: descend_direct(v, bad, 1),
+        lambda: check_hypotheses(v, bad, "thm4"),
+        lambda: proof_trace(v, bad, "thm4"),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
