@@ -161,8 +161,10 @@ class CoeffTable:
     Bernoulli prefix whose odd B_m do not vanish is followed exactly.
 
     A row is stored as integer numerators over one common denominator,
-    reduced by one gcd pass.  ``dot`` sums a row against rational
-    scalars in integers and builds one Fraction for the result.  The
+    reduced by one gcd pass.  A vector of rational scalars is brought
+    over one common denominator once (``_over_common``); ``dot`` and
+    every descended scalar sum a row against those integers and build
+    one Fraction for the result (``_descended``).  The
     Fraction entries that ``coefficient`` returns are built once per
     row, the first time the row is read that way, so repeated reads
     return the same objects.
@@ -192,8 +194,7 @@ class CoeffTable:
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         _check_indices(i, j)
-        if not 1 <= k <= i + j:
-            raise ValueError(f"k = {k} out of range [1, {i + j}] for (i, j) = ({i}, {j})")
+        _check_k(k, i + j, f" for (i, j) = ({i}, {j})")
         try:
             return self._fractions[i, j][k - 1]
         except KeyError:
@@ -206,20 +207,30 @@ class CoeffTable:
 
         ``x`` must hold at least i + j rational scalars (floats and bools
         are refused); later ones are ignored.  The scalars are brought
-        over their least common denominator and summed against the row's
+        over one common denominator once and summed against the row's
         integer numerators, so no Fraction is built per term.
         """
-        _check_indices(i, j)
-        n = i + j
-        if len(x) < n:
-            raise IndexError(f"row ({i}, {j}) needs {n} scalars, got {len(x)}")
+        return self._descended(i, j, *_row_scalars(i, j, x), shifted=False)
+
+    def _descended(
+        self, i: int, j: int, scaled: Sequence[int], common: int, shifted: bool = True
+    ) -> Fraction:
+        """-i/j! + sum_{k=1}^{i+j} c(i, j, k) * scaled[k-1] / common, as one Fraction.
+
+        The kernel behind every descended scalar.  ``scaled`` holds
+        integer numerators over ``common`` (see ``_over_common``); entries
+        past i + j are ignored and missing ones count as zero.  The sum
+        runs in integers and one Fraction is built for the result; the
+        -i/j! term is left out unless ``shifted``.  Nothing is checked:
+        callers pass valid indices and enough numerators.
+        """
         nums, den = self._row(i, j)
-        head = [v if type(v) is Fraction else as_rational(v) for v in x[:n]]
-        common = 1
-        for v in head:
-            common = lcm(common, v.denominator)
-        scaled = [v.numerator * (common // v.denominator) for v in head]
-        return Fraction(sum(map(mul, nums, scaled)), den * common)
+        total = sum(map(mul, nums, scaled))
+        den *= common
+        if not shifted:
+            return Fraction(total, den)
+        scale = factorial(j)
+        return Fraction(scale * total - i * den, scale * den)
 
     def _row(self, i: int, j: int) -> tuple[list[int], int]:
         """Row (i, j) in integers, extending column j to depth i first."""
@@ -262,6 +273,36 @@ _DEPTH = "iteration depth must be >= 1"
 def _check_indices(i: int, j: int) -> None:
     _check_int(i, 0, _INDICES, (i, j))
     _check_int(j, 1, _INDICES, (i, j))
+
+
+def _check_k(k: int, top: int, where: str = "") -> None:
+    """Refuse k unless it is an int in [1, top]; an int out of range says so."""
+    if type(k) is int and not 1 <= k <= top:
+        raise ValueError(f"k = {k} out of range [1, {top}]{where}")
+    _check_int(k, 1, f"k must be an int in [1, {top}]{where}")
+
+
+def _over_common(x: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The scalars ``x`` as integer numerators over their least common denominator.
+
+    The one place a vector is brought over a common denominator; floats
+    and bools are refused as by ``as_rational``.
+    """
+    values = [as_rational(v) for v in x]
+    common = lcm(*[v.denominator for v in values])
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def _row_scalars(i: int, j: int, x: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The i + j scalars that row (i, j) reads from ``x``, over one denominator.
+
+    Checks the indices and that ``x`` holds at least i + j scalars.
+    """
+    _check_indices(i, j)
+    n = i + j
+    if len(x) < n:
+        raise IndexError(f"row ({i}, {j}) needs {n} scalars, got {len(x)}")
+    return _over_common(x[:n])
 
 
 _SHARED = CoeffTable()
@@ -315,16 +356,16 @@ def _closed_row(rows: list[list[int]], i: int, j: int) -> tuple[list[int], int]:
 
 def composition_sum(k: int, n: int) -> Fraction:
     """Sum of 1/(l_1 * ... * l_k) over all compositions of n into k positive parts."""
-    if not 1 <= k <= n:
-        raise ValueError(f"composition_sum requires 1 <= k <= n, got ({k}, {n})")
+    rule = "composition_sum requires 1 <= k <= n"
+    _check_int(k, 1, rule, (k, n))
+    _check_int(n, k, rule, (k, n))
     return Fraction(_composition_rows(n)[n][k], factorial(n))
 
 
 def ch1_coefficient_closed(i: int, k: int) -> Fraction:
     """Closed form for the degree-1 row: reciprocal sum over compositions of i+1."""
     _check_int(i, 1, _DEPTH)
-    if not 1 <= k <= i + 1:
-        raise ValueError(f"k = {k} out of range [1, {i + 1}]")
+    _check_k(k, i + 1)
     nums, den = _closed_row(_composition_rows(i + 1), i, 1)
     return Fraction(nums[k - 1], den)
 
@@ -332,8 +373,7 @@ def ch1_coefficient_closed(i: int, k: int) -> Fraction:
 def ch2_coefficient_closed(i: int, k: int) -> Fraction:
     """Closed form for the degree-2 row: compositions of i+2 minus half those of i+1."""
     _check_int(i, 1, _DEPTH)
-    if not 1 <= k <= i + 2:
-        raise ValueError(f"k = {k} out of range [1, {i + 2}]")
+    _check_k(k, i + 2)
     nums, den = _closed_row(_composition_rows(i + 2), i, 2)
     return Fraction(nums[k - 1], den)
 

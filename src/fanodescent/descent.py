@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .coeffs import _DEPTH, CoeffTable, shared_table
+from .coeffs import _DEPTH, CoeffTable, _over_common, _row_scalars, shared_table
 from .exact import _check_int, as_rational
 
 __all__ = [
@@ -181,14 +181,23 @@ def iterate_scalar(
 
     where x lists at least i + j source scalars, already weighted by
     the powers of the first curve degree (r_k * a^k).  Depth 0 is the
-    identity.
+    identity.  The scalars are brought over one common denominator and
+    the result is one Fraction, built from an integer sum.
     """
-    return Fraction(-i, factorial(j)) + (table or shared_table()).dot(i, j, x)
+    tab = table or shared_table()
+    return tab._descended(i, j, *_row_scalars(i, j, x))
 
 
-def _weighted(v: SplitChernVector, a: int, top: int) -> list[Fraction]:
-    """r_k * a^k for k = 1..top."""
-    return [r * a**k for k, r in enumerate(v.scalars[:top], start=1)]
+def _weighted(v: SplitChernVector, a: int, top: int) -> tuple[list[int], int]:
+    """r_k * a^k for k = 1..top, as integer numerators over one common denominator.
+
+    The weight multiplies the numerators only; nothing is multiplied
+    when a = 1.
+    """
+    scaled, common = _over_common(v.scalars[:top])
+    if a != 1:
+        scaled = [r * a**k for k, r in enumerate(scaled, start=1)]
+    return scaled, common
 
 
 def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> DescentStep:
@@ -200,14 +209,17 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
 
     which consumes r_{d+1}; a shorter vector raises
     InsufficientScalarsError.  For d <= 0 the step records the dimension
-    and carries no vector.
+    and carries no vector.  The weighted scalars are brought over one
+    common denominator once per step, and each s_j is one Fraction
+    built from an integer sum.
     """
     _check_int(a, 1, _DEGREE)
     d = _family_dim(v.ch(1) * a, v.dim)
     if d <= 0:
         return DescentStep(a, d, None)
-    x = _weighted(v, a, d + 1)
-    scalars = tuple([iterate_scalar(x, 1, j, table) for j in range(1, d + 1)])
+    tab = table or shared_table()
+    scaled, common = _weighted(v, a, d + 1)
+    scalars = tuple([tab._descended(1, j, scaled, common) for j in range(1, d + 1)])
     return DescentStep(a, d, SplitChernVector(scalars))
 
 
@@ -221,23 +233,28 @@ def descend_direct(
         s_j = -i/j! + sum_{k=1}^{i+j} c(i, j, k) * r_k * a1^k,
 
     with the same per-level dimension bookkeeping the step-by-step walk
-    performs, so it raises exactly when the iterated walk would.
+    performs, so it raises exactly when the iterated walk would.  The
+    weighted scalars are brought over one common denominator once, for
+    every level check and every final scalar.
     """
     _check_int(i, 1, _DEPTH)
     _check_int(a1, 1, _DEGREE)
     tab = table or shared_table()
-    x = _weighted(v, a1, v.dim)
+    scaled, common = _weighted(v, a1, v.dim)
     d = v.dim
     for level in range(1, i + 1):
-        # Curves at this level have anticanonical degree r_1 of the member above.
-        d = _family_dim(iterate_scalar(x, level - 1, 1, tab), d, f" at level {level}")
+        # Curves at this level have anticanonical degree r_1 of the member
+        # above.  Each level lowers d by at least one, so no row read here
+        # or below needs more than the v.dim weighted scalars.
+        degree = tab._descended(level - 1, 1, scaled, common)
+        d = _family_dim(degree, d, f" at level {level}")
         if d < 1:
             raise DescentError(
                 f"chain reaches family dimension {d} at level {level}; "
                 f"no dimension-{i} iterate exists"
             )
     return SplitChernVector(
-        tuple([iterate_scalar(x, i, j, tab) for j in range(1, d + 1)])
+        tuple([tab._descended(i, j, scaled, common) for j in range(1, d + 1)])
     )
 
 

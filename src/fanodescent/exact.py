@@ -30,8 +30,12 @@ def as_rational(value: Fraction | int | str) -> Fraction:
     """``Fraction(value)``, refusing floats and bools.
 
     A binary float is not the rational it was written as, and a bool is
-    not a scalar; both are rejected rather than silently coerced.
+    not a scalar; both are rejected rather than silently coerced.  A
+    Fraction is returned as it is: Fractions are immutable, so no copy
+    is needed.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (bool, float)):
         raise ValueError(
             f"{value!r} is not an exact rational; give an int, a Fraction "

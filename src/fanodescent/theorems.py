@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .coeffs import CoeffTable, shared_table
-from .descent import SplitChernVector, iterate_scalar
+from .coeffs import CoeffTable, _over_common, shared_table
+from .descent import SplitChernVector
 from .exact import _check_int
 
 __all__ = [
@@ -302,10 +302,12 @@ def proof_trace(
 ) -> Certificate:
     """Replay the inequality chain behind the named gate at levels 1..m-1.
 
-    Every bound is a descended scalar (``iterate_scalar``) of the
-    threshold inputs, or of the vector's own scalars when ``at_actual``,
-    and is checked against its closed form in the gate's total
-    slope*m + base (m+1 for thm4, 2m+1 or 2m+2 for the thm5 pair).
+    Every bound is a descended scalar (the sum of ``iterate_scalar``) of
+    the threshold inputs, or of the vector's own scalars when
+    ``at_actual``, and is checked against its closed form in the gate's
+    total slope*m + base (m+1 for thm4, 2m+1 or 2m+2 for the thm5 pair).
+    The inputs are brought over one common denominator once per
+    certificate.
     """
     report = check_hypotheses(v, m, theorem)
     if not report.passed:
@@ -314,22 +316,27 @@ def proof_trace(
         )
     gate = _GATES[theorem]
     tab = table or shared_table()
-    x = [row.actual if at_actual else row.threshold for row in report.per_k]
+    # The m inputs over one common denominator, shared by every level;
+    # level i reads at most i + 1 <= m of them.
+    scaled, common = _over_common(
+        [row.actual if at_actual else row.threshold for row in report.per_k]
+    )
     total = gate.slope * m + gate.base
 
     levels = []
     for i in range(1, m):
-        dim_full = iterate_scalar(x, i - 1, 1, tab) - 2
-        t2_full = iterate_scalar(x, i - 1, 2, tab)
+        dim_full = tab._descended(i - 1, 1, scaled, common) - 2
+        t2_full = tab._descended(i - 1, 2, scaled, common)
         if theorem == THM4:
             # c1 keeps the top descent term aside: it is a positive class
-            # on its own, so positivity only needs the remaining sum.
-            c1_full = iterate_scalar([*x[:i], 0], i, 1, tab)
+            # on its own, so positivity only needs the remaining sum, which
+            # reads the first i inputs (a missing one counts as zero).
+            c1_full = tab._descended(i, 1, scaled[:i], common)
             dim_closed = Fraction(total - i - 1)
             c1_closed = -i + (1 - Fraction(1, factorial(i + 1))) * total
             t2_closed = Fraction(total - i + 1, 2)
         else:
-            c1_full = iterate_scalar(x, i, 1, tab)
+            c1_full = tab._descended(i, 1, scaled, common)
             dim_closed = c1_closed = Fraction(total - 2 * i - 2)
             t2_closed = dim_closed / 2
         t2_asserted = gate.t2_every_level or i + 1 < m

@@ -11,6 +11,7 @@ from fanodescent.coeffs import (
     CoeffTable,
     ch1_coefficient_closed,
     ch2_coefficient_closed,
+    composition_sum,
     generating_polynomial,
     shared_table,
     verify_identities,
@@ -34,7 +35,14 @@ from fanodescent.descent import (
     projective_space,
     quadric,
 )
-from fanodescent.theorems import check_hypotheses, proof_trace
+from fanodescent.exact import as_rational, bernoulli_table
+from fanodescent.theorems import (
+    THEOREMS,
+    CertificateError,
+    check_hypotheses,
+    hypothesis_threshold,
+    proof_trace,
+)
 
 
 def vec(*scalars) -> SplitChernVector:
@@ -105,6 +113,34 @@ def test_integer_indices_reject_float_and_bool(bad):
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             call()
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5])
+def test_coefficient_k_rejects_float_and_bool(bad):
+    # True and 1.0 used to pass as k = 1 (or crash on a list index).
+    table = CoeffTable()
+    calls = [
+        lambda: table.coefficient(1, 1, bad),
+        lambda: composition_sum(bad, 2),
+        lambda: composition_sum(1, bad),
+        lambda: ch1_coefficient_closed(2, bad),
+        lambda: ch2_coefficient_closed(2, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call()
+
+
+def test_coefficient_k_out_of_range_message():
+    table = CoeffTable()
+    for k in (0, 3):
+        message = f"k = {k} out of range [1, 2] for (i, j) = (1, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table.coefficient(1, 1, k)
+        with pytest.raises(ValueError, match=re.escape(f"k = {k} out of range [1, 2]")):
+            ch1_coefficient_closed(1, k)
+    with pytest.raises(ValueError, match=re.escape("1 <= k <= n, got (3, 2)")):
+        composition_sum(3, 2)
 
 
 # --- family dimension --------------------------------------------------------
@@ -392,3 +428,196 @@ def test_catalogue_validation():
         catalogue("projective_space", [2, 3])
     with pytest.raises(ValueError):
         grassmannian(3, 3)
+
+
+# --- the integer-row kernel against the per-term Fraction sum ------------------
+#
+# The library brings each vector over one common denominator and builds
+# one Fraction per descended scalar.  The reference below is the sum
+# written out term by term in Fractions, weight a^k included.
+
+
+def _reference_scalar(table, r, a, i, j, top=None):
+    """-i/j! + sum_{k=1}^{top} c(i, j, k) * r_k * a^k, top defaulting to i + j."""
+    total = Fraction(-i, factorial(j))
+    for k in range(1, (i + j if top is None else top) + 1):
+        total += table.coefficient(i, j, k) * r[k - 1] * a**k
+    return total
+
+
+def _flipped_table():
+    seed = bernoulli_table(2)
+    seed[1] = -seed[1]
+    return CoeffTable(seed)
+
+
+# Numerators -9..9 (zero included) over coprime prime powers.
+_ORACLE_POOL = [Fraction(p, q) for p in range(-9, 10) for q in (1, 2, 4, 8, 3, 9, 27, 5, 25, 7, 49)]
+
+
+def _reference_descend(table, r, a):
+    """One descent step by the reference sum; the family dimension r_1 * a - 2 >= 1."""
+    return [_reference_scalar(table, r, a, 1, j) for j in range(1, int(r[0] * a) - 1)]
+
+
+def _oracle_vectors(table, seed, count):
+    """Seeded (vector, a, steps): a walk with degrees (a, 1, 1, ...) of ``steps`` steps.
+
+    r_{s+1} enters r_1 of the member at depth s once, with the weight
+    a^{s+1} (every descent row ends in the coefficient 1), so it is solved
+    for to give that member a chosen integral r_1, falling by 1 to 3 per
+    step until a member is a point, has no family or is not Fano.  The
+    other entries, zeros and negatives among them, come from the pool.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        a = rng.choice((1, 2, 3))
+        r = [rng.choice(_ORACLE_POOL) for _ in range(n)]
+        r[rng.randrange(1, n)] = Fraction(0)
+        degree = rng.randint(3, n + 1)  # r_1 * a, a family of dimension 1..n-1
+        r[0] = Fraction(degree, a)
+        steps = 1
+        while degree > 2:
+            degree -= rng.randint(1, 3)
+            r[steps] = Fraction(0)
+            member = _reference_descend(table, r, a)
+            for _ in range(steps - 1):
+                member = _reference_descend(table, member, 1)
+            r[steps] = (degree - member[0]) / a ** (steps + 1)
+            steps += 1 if degree > 1 else 0
+        yield SplitChernVector(tuple(r)), a, steps
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["honest", "flip_b1"])
+def test_descend_and_chain_match_reference_sum(flip):
+    table = _flipped_table() if flip else CoeffTable()
+    compared = 0
+    for v, a, steps in _oracle_vectors(table, 11 + flip, 120):
+        expected = _reference_descend(table, v.scalars, a)
+        assert list(descend(v, a, table).descended.scalars) == expected
+        report = descend_chain(v, [a], table)
+        assert len(report.steps) == steps
+        source = v
+        for step in report.steps:
+            if step.descended is None:
+                break
+            expected = _reference_descend(table, source.scalars, step.degree_used)
+            assert list(step.descended.scalars) == expected
+            source = step.descended
+            compared += 1
+    assert compared >= 200
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["honest", "flip_b1"])
+def test_descend_direct_matches_reference_sum(flip):
+    table = _flipped_table() if flip else CoeffTable()
+    compared = 0
+    for v, a, steps in _oracle_vectors(table, 21 + flip, 120):
+        for i in range(1, steps + 1):
+            try:
+                result = descend_direct(v, i, a, table)
+            except DescentError:
+                continue
+            # The family at depth i has dimension r_1 - 2 of the member above.
+            d = int(_reference_scalar(table, v.scalars, a, i - 1, 1)) - 2
+            assert result.dim == d
+            assert list(result.scalars) == [
+                _reference_scalar(table, v.scalars, a, i, j) for j in range(1, d + 1)
+            ]
+            compared += 1
+    assert compared >= 150
+
+
+def _reference_levels(table, x, m, thm4):
+    """Per level 1..m-1, the certificate's three bounds as reference sums."""
+    for i in range(1, m):
+        yield {
+            "dim_bound": _reference_scalar(table, x, 1, i - 1, 1) - 2,
+            # thm4 keeps the top term of c1 aside.
+            "c1_margin": _reference_scalar(table, x, 1, i, 1, top=i if thm4 else None),
+            "t2ch2_bound": _reference_scalar(table, x, 1, i - 1, 2),
+        }
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["honest", "flip_b1"])
+def test_proof_trace_matches_reference_sum(flip):
+    table = _flipped_table() if flip else CoeffTable()
+    rng = random.Random(31 + flip)
+    issued = refused = 0
+    for theorem in THEOREMS:
+        for m in range(2, 10):
+            for _ in range(4):
+                slack = [
+                    Fraction(rng.randint(0, 6), rng.choice((1, 2, 4, 3, 9, 5, 25, 7)))
+                    for _ in range(m)
+                ]
+                thresholds = [hypothesis_threshold(theorem, m, k) for k in range(1, m + 1)]
+                scalars = [t + s for t, s in zip(thresholds, slack)]
+                v = SplitChernVector((*scalars, rng.choice(_ORACLE_POOL)))
+                for at_actual in (False, True):
+                    x = scalars if at_actual else thresholds
+                    refs = list(_reference_levels(table, x, m, theorem == "thm4"))
+                    try:
+                        cert = proof_trace(v, m, theorem, table, at_actual)
+                    except CertificateError as err:
+                        # Every refusal names the full-route value it saw.
+                        value = re.escape(str(refs[err.level - 1][err.quantity]))
+                        assert re.search(rf"(gives|value|bound) {value}[, ]", str(err))
+                        refused += 1
+                        continue
+                    assert [
+                        {"dim_bound": lv.dim_bound, "c1_margin": lv.c1_margin,
+                         "t2ch2_bound": lv.t2ch2_bound}
+                        for lv in cert.per_level
+                    ] == refs
+                    issued += 1
+    if flip:
+        # The flipped B_1 breaks the threshold-mode closed forms.
+        assert refused >= 96
+    else:
+        assert issued >= 150
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["honest", "flip_b1"])
+def test_iterate_scalar_and_dot_match_reference_sum(flip):
+    table = _flipped_table() if flip else CoeffTable()
+    rng = random.Random(41 + flip)
+    for _ in range(40):
+        x = [rng.choice(_ORACLE_POOL) for _ in range(8)]
+        for i in range(5):
+            for j in range(1, 4):
+                expected = _reference_scalar(table, x, 1, i, j)
+                assert iterate_scalar(x, i, j, table) == expected
+                assert table.dot(i, j, x) == expected + Fraction(i, factorial(j))
+
+
+def test_as_rational_returns_a_fraction_as_is():
+    f = Fraction(7, 12)
+    assert as_rational(f) is f
+    assert as_rational(3) == 3 and type(as_rational(3)) is Fraction
+    # A vector keeps the Fractions it is given; it does not copy them.
+    assert SplitChernVector((f, 1)).scalars[0] is f
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True])
+def test_iterate_scalar_and_dot_refuse_bad_input(bad):
+    table = CoeffTable()
+    calls = [
+        lambda: iterate_scalar([bad, 1, 1], 1, 1, table),
+        lambda: table.dot(1, 1, [1, bad]),
+        lambda: iterate_scalar([1, 1, 1], bad, 1, table),
+        lambda: table.dot(1, bad, [1, 1, 1]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call()
+    for i, j in ((-1, 1), (0, 0)):
+        with pytest.raises(ValueError, match="coefficient indices"):
+            iterate_scalar([1, 1, 1], i, j, table)
+        with pytest.raises(ValueError, match="coefficient indices"):
+            table.dot(i, j, [1, 1, 1])
+    with pytest.raises(IndexError, match=re.escape("row (1, 2) needs 3 scalars, got 2")):
+        iterate_scalar([1, 1], 1, 2, table)
+    with pytest.raises(IndexError, match=re.escape("row (2, 2) needs 4 scalars, got 3")):
+        table.dot(2, 2, [1, 2, 3])

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import run_cli
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "scaling.py"
@@ -48,3 +50,30 @@ def test_scaling_record_smoke(tmp_path):
     assert [(c["name"], c["report_sha256"]) for c in first] == [
         (c["name"], c["report_sha256"]) for c in run["cases"]
     ]
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location("scaling", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flag", ["--verify", "--check", "--chain", "--repeats"])
+@pytest.mark.parametrize(
+    "token", ["0", "-1", "+3", "", ",", "3,", ",3", "3,,4", "1_0", "3,1_0", " 3", "3.0", "\u0663"]
+)
+def test_bad_sizes_exit_two(tmp_path, capsys, flag, token):
+    # Each flag takes ASCII digits >= 1 (--repeats a single one); nothing is run.
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as excinfo:
+        _script().main(["--out", str(out), flag, token])
+    assert excinfo.value.code == 2
+    assert repr(token) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sizes_parse_ascii_lists():
+    scaling = _script()
+    assert scaling._sizes("3") == [3]
+    assert scaling._sizes("20,40,80") == [20, 40, 80]

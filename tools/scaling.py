@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -31,8 +32,25 @@ from pathlib import Path
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+# ASCII digits only: int() also takes digit separators (1_0), other
+# scripts' digits and surrounding whitespace.
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _positive(text: str) -> int:
+    if not _DIGITS.fullmatch(text) or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _sizes(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    """Comma-separated positive integers, with no empty field."""
+    try:
+        return [_positive(tok) for tok in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}"
+        ) from None
 
 
 def cases(
@@ -99,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="change", help="key of this run in the record")
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
                         help="directory holding the fanodescent package (default: this checkout)")
-    parser.add_argument("--repeats", type=int, default=3, help="fresh processes per case")
+    parser.add_argument("--repeats", type=_positive, default=3, help="fresh processes per case")
     parser.add_argument("--verify", type=_sizes, default=[20, 40, 80],
                         help="comma-separated M for verify --max-i M --max-n M")
     parser.add_argument("--check", type=_sizes, default=[50, 100, 150, 200],
@@ -107,8 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--chain", type=_sizes, default=[100],
                         help="comma-separated n for chain projective_space n")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     results, ok = [], True
     for name, case_argv in cases(args.verify, args.check, args.chain):
