@@ -10,11 +10,13 @@ is serialized exactly as a ``p/q`` string, never as a decimal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -62,7 +64,15 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
+        """The report as JSON, byte for byte ``json.dumps(self.as_dict(), indent=2)``.
+
+        ``_write_json`` writes it in one pass.  Only dicts with str keys,
+        lists, strings, ints, bools and None are written; anything else,
+        a float included, raises TypeError.
+        """
+        out: list[str] = []
+        _write_json(self.as_dict(), out, "\n")
+        return "".join(out)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
@@ -78,6 +88,43 @@ class RunReport:
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         return cls.from_dict(json.loads(text))
+
+
+def _write_json(obj: object, out: list[str], indent: str) -> None:
+    """Append ``obj`` to ``out`` laid out as ``json.dumps(obj, indent=2)`` would.
+
+    ``indent`` is a newline followed by the current indentation.  The C
+    encoder behind ``json.dumps`` runs only without ``indent``; with it,
+    every value goes through the pure-Python encoder.
+    """
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, dict)) and not obj:
+        out.append("[]" if isinstance(obj, list) else "{}")
+    elif isinstance(obj, list):
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be str, got {key!r}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON: {obj!r}")
 
 
 def _q(x: Fraction | int) -> str:
@@ -215,6 +262,19 @@ def build_parser() -> argparse.ArgumentParser:
                          help="read the split vector from FILE instead")
     p_check.add_argument("--json", action="store_true", help="emit a JSON report")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses, built on its first call.
+
+    Sharing it across calls is safe: argparse reads a parser without
+    changing it and parses into a fresh namespace each time, nothing here
+    changes the parser after ``build_parser`` returns, and every default
+    is None, a bool or an int, so no command can alter what a later call
+    parses.
+    """
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +619,15 @@ _COMMANDS = {"verify": cmd_verify, "chain": cmd_chain, "check": cmd_check}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code: 0 pass, 1 failed check, 2 error.
+
+    The parser is built on the first call and reused by every later call
+    in the process (see ``_parser``); ``build_parser`` still returns a
+    fresh one.  The report goes to stdout as a table, or with ``--json``
+    as the one-pass output of ``RunReport.to_json``.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -75,8 +75,7 @@ class Polynomial:
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of t^k (zero beyond the stored degree)."""
-        if k < 0:
-            raise ValueError(f"coefficient index must be >= 0, got {k}")
+        _check_int(k, 0, "coefficient index must be >= 0")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
 
     def __eq__(self, other: object) -> bool:
@@ -543,8 +542,7 @@ def composition_symmetric_check(max_n: int) -> IdentityCheck:
     Checks composition_sum(k, n) == k!/n! * e_{n-k}(1, ..., n-1) for all
     1 <= k <= n <= max_n.  Both sides are O(max_n^3) exact operations.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
+    _check_int(max_n, 1, "max_n must be >= 1")
     return _IdentityPass(max_n).symmetric_check(max_n)
 
 

@@ -78,6 +78,90 @@ def test_json_reports_round_trip():
         assert json.loads(report.to_json()) == json.loads(text)
 
 
+def _written(obj) -> str:
+    out: list[str] = []
+    cli._write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _sweep_argv() -> list[list[str]]:
+    argv = []
+    for i in range(1, 17):
+        for n in (1, 5, 16):
+            argv.append(["verify", "--max-i", str(i), "--max-n", str(n)])
+            argv.append(["verify", "--max-i", str(i), "--max-n", str(n), "--flip-b1"])
+    for n in range(1, 26):
+        argv.append(["chain", "projective_space", str(n)])
+        argv.append(["chain", "quadric", str(n)])
+    argv += [["chain", "grassmannian", str(k), str(m)] for k, m in [(1, 4), (2, 4), (2, 5), (3, 7)]]
+    argv += [
+        ["chain", "quadric", "5", "--degrees", "1,1,1"],
+        ["chain", "projective_space", "6", "--degrees", "2,1"],
+        ["chain", "quadric", "8", "--degrees", "1"],
+    ]
+    for flag in [t.replace("_", "-") for t in cli.THEOREMS]:
+        for family, n in [("projective_space", 9), ("quadric", 9), ("quadric", 6)]:
+            argv.append(["check", family, str(n), "--theorem", flag])
+            for m in range(1, n + 1, 2):
+                argv.append(["check", family, str(n), "--theorem", flag, "--m", str(m)])
+    return argv
+
+
+def test_json_writer_matches_json_dumps_on_goldens():
+    for name in GOLDEN_CASES:
+        if name.endswith(".json"):
+            obj = json.loads((GOLDEN / name).read_text())
+            assert _written(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_report_sweep():
+    parser = cli.build_parser()
+    codes = set()
+    for argv in _sweep_argv():
+        args = parser.parse_args(argv + ["--json"])
+        report = cli._COMMANDS[args.command](args)
+        codes.add(report.exit_code)
+        assert report.to_json() == json.dumps(report.as_dict(), indent=2), argv
+    assert codes == {0, 1}  # passing reports and reports with discrepancies
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        'say "hi"',
+        "back\\slash and /",
+        "\x00\x01\x1f\t\n\r\x7f",
+        "caf\u00e9 \u2203 \U0001d4aa",
+        {"": "", "caf\u00e9": ["\u2203"]},
+        {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]},
+        [],
+        {},
+        [-1, 0, 1, -(10**399), 10**399, 7 * 10**399 + 3],
+        [True, False, None, {"t": True, "f": False, "n": None}],
+        [[1, [2, [3, []]]], {"x": {"y": {"z": -0}}}],
+    ],
+    ids=["quotes", "backslash", "control", "non_ascii", "non_ascii_keys", "empty_nested",
+         "empty_list", "empty_dict", "big_ints", "literals", "deep"],
+)
+def test_json_writer_matches_json_dumps_on_synthetic_values(obj):
+    assert _written(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [0.5, float("nan"), {1: "int key"}, {None: "null key"}, {1, 2}, ["nested", [1.0]],
+     {"k": {0.0: 1}}, (1, 2), b"bytes", Fraction(1, 2)],
+    ids=["float", "nan", "int_key", "none_key", "set", "nested_float", "float_key",
+         "tuple", "bytes", "fraction"],
+)
+def test_json_writer_refuses_anything_else(obj):
+    with pytest.raises(TypeError):
+        _written(obj)
+    report = RunReport("verify", {}, {"value": obj}, "pass", 0)
+    with pytest.raises(TypeError):
+        report.to_json()
+
+
 @pytest.mark.parametrize(
     "family, n, flag, m, theorem",
     [
@@ -194,6 +278,55 @@ def test_exit_two_for_grassmannian_gate():
 def test_version_flag():
     code, out, _ = run_cli(["--version"])
     assert code == 0
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path):
+    path = tmp_path / "q6.txt"
+    path.write_text("6\n6 2 0 -1/3 -1/5 -7/90\n")
+
+    code, out, err = run_cli(["verify", "--max-i", "0"])
+    assert (code, out) == (2, "") and "usage:" in err
+    assert run_cli(["--help"]) == (0, cli.build_parser().format_help(), "")
+    assert run_cli(["--version"]) == (0, f"fanodescent {cli.__version__}\n", "")
+
+    assert run_cli(["verify", "--max-i", "2", "--max-n", "4", "--flip-b1", "--json"])[0] == 1
+    code, out, _ = run_cli(["verify", "--max-i", "2", "--max-n", "4", "--json"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["flip_b1"] is False
+
+    custom = run_cli(["chain", "quadric", "5", "--degrees", "1,1,1"])
+    assert custom[0] == 0 and "expected chain" not in custom[1]
+    assert run_cli(["chain", "quadric", "5"]) == (0, (GOLDEN / "chain_q5.txt").read_text(), "")
+
+    code, out, _ = run_cli(["check", "--input", str(path), "--theorem", "thm5", "--json"])
+    assert code == 0
+    assert json.loads(out)["parameters"]["input"] == str(path)
+    code, out, _ = run_cli(["check", "quadric", "6", "--theorem", "thm5", "--json"])
+    assert code == 0
+    assert json.loads(out)["parameters"] == {
+        "name": "quadric", "params": [6], "input": None, "theorem": "thm5", "m": None
+    }
+
+    for name, (argv, expected_code) in GOLDEN_CASES.items():
+        assert run_cli(argv) == (expected_code, (GOLDEN / name).read_text(), ""), name
+
+
+def test_main_builds_at_most_one_parser_per_process(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(10):
+        assert run_cli(["verify", "--max-i", "1"])[0] == 0
+        assert run_cli(["chain", "quadric", "5", "--json"])[0] == 0
+    assert len(built) <= 1
 
 
 # --- vector files ---------------------------------------------------------------

@@ -78,6 +78,25 @@ def test_polynomial_rejects_float_and_bool_scalars(operation, bad):
         operation(Polynomial([1, 2]))
 
 
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_coefficient_index_and_max_n_refuse_bool_and_float(bad):
+    # True used to read t^1 and run max_n = 1; 1.0 crashed on an index.
+    calls = [
+        lambda: generating_polynomial(2, 1).coefficient(bad),
+        lambda: composition_symmetric_check(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            call()
+
+
+def test_coefficient_index_and_max_n_out_of_range_messages():
+    with pytest.raises(ValueError, match=r"^coefficient index must be >= 0, got -1$"):
+        Polynomial([1]).coefficient(-1)
+    with pytest.raises(ValueError, match=r"^max_n must be >= 1, got 0$"):
+        composition_symmetric_check(0)
+
+
 def test_polynomial_product_coefficients_are_elementary_symmetric():
     rng = random.Random(20240817)
     for _ in range(25):
