@@ -87,7 +87,12 @@ class RunReport:
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
+        """Read a report; like ``to_json``, refuse floats (NaN and Infinity too) with TypeError."""
+        return cls.from_dict(json.loads(text, parse_float=_no_float, parse_constant=_no_float))
+
+
+def _no_float(token: str) -> None:
+    raise TypeError(f"cannot read float from JSON: {token}")
 
 
 def _write_json(obj: object, out: list[str], indent: str) -> None:
@@ -303,7 +308,8 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
         seed[1] = -seed[1]
         table = CoeffTable(seed)
     else:
-        table = CoeffTable()
+        # Toeplitz rows, so the generating polynomials check another route.
+        table = CoeffTable(_toeplitz=True)
     # One pass builds what every depth and the run-level check share.
     shared = _IdentityPass(max(args.max_i + 2, args.max_n))
     reports = [shared.report(i, table) for i in range(1, args.max_i + 1)]

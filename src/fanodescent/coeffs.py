@@ -11,6 +11,15 @@ independent routes compute the same numbers:
   tabulated by a dynamic programme over the last part,
 * coefficients of a rising-factorial generating polynomial (j = 1, 2).
 
+A ``CoeffTable`` built with no Bernoulli prefix fills its j = 1, 2
+columns from the generating polynomial, at O(i) big-integer operations
+per row against the O(i^2) of a Toeplitz step; every column j >= 3, and
+every column of a table with an overridden prefix, takes the Toeplitz
+route.  The table behind ``verify`` takes the Toeplitz route for every
+column, so that the generating polynomials stay a second route there.
+The true Bernoulli numbers behind the Toeplitz weights are computed once
+per process.
+
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
 discrepancy.  Each route yields integer rows (numerators over one common
@@ -24,9 +33,10 @@ between calls.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -137,6 +147,50 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
+class _Weights:
+    """The Bernoulli numbers B_m and the Toeplitz weights b_m of one prefix.
+
+    ``bernoulli`` holds B_0, B_1, ...; ``pairs[m]`` is
+    ``b_m = (-1)^m B_m / m!`` as (numerator, denominator); ``lcms[m]`` is
+    the lcm of the denominators of b_0..b_m.  All three lists only grow,
+    and only under the lock, so a reader may use any entry it sees.  A
+    grown tail is built locally and published with ``lcms`` extended
+    before ``pairs``: a reader that finds pair m also finds lcm m.
+    """
+
+    def __init__(self, bernoulli: list[Fraction]):
+        self.bernoulli = bernoulli
+        self.pairs: list[tuple[int, int]] = [(1, 1)]
+        self.lcms: list[int] = [1]
+        self._lock = threading.Lock()
+
+    def bernoulli_number(self, m: int) -> Fraction:
+        if not 0 <= m < len(self.bernoulli):
+            with self._lock:
+                extend_bernoulli(self.bernoulli, m)
+        return self.bernoulli[m]
+
+    def grow(self, size: int) -> None:
+        """Make b_0..b_{size-1} and their lcms available."""
+        if len(self.pairs) >= size:
+            return
+        with self._lock:
+            start = len(self.pairs)
+            extend_bernoulli(self.bernoulli, size - 1)
+            pairs, lcms, last = [], [], self.lcms[-1]
+            for m in range(start, size):
+                b = (-1) ** m * self.bernoulli[m] / factorial(m)
+                pairs.append((b.numerator, b.denominator))
+                last = lcm(last, b.denominator)
+                lcms.append(last)
+            self.lcms.extend(lcms)
+            self.pairs.extend(pairs)
+
+
+# The true Bernoulli numbers, shared by every table built without a prefix.
+_HONEST = _Weights([Fraction(1)])
+
+
 class CoeffTable:
     """Table of descent coefficients, filled level by level in integer columns.
 
@@ -144,52 +198,74 @@ class CoeffTable:
     of the starting manifold inside the degree-j Chern scalar of its
     i-th iterated minimal family, defined for 1 <= k <= i + j.  Depth
     i = 0 is the identity descent (weight 1 exactly when k = j), which
-    keeps certificate replays uniform at the first level.
+    keeps certificate replays uniform at the first level.  The table
+    keeps one column of rows per j, from the unit row at depth 0 down; a
+    read that misses at (i, j) extends column j only, from its deepest
+    row to depth i, and the other columns are not touched.  No step
+    recurses, so depth is bounded by memory, not by the stack.  Two
+    routes fill a column:
 
-    Depth i is depth i - 1 followed by one more step, and one step is
-    the Toeplitz matrix of the weights ``b_m = (-1)^m B_m / m!``:
-    ``c(i, j, k) = sum_l c(i-1, j, l) * b_{l+1-k}``.  Row (i, j) thus
-    needs row (i - 1, j) alone, and the table keeps one column of rows
-    per j, from the unit row at depth 0 down.  A read that misses at
-    (i, j) extends column j only, from its deepest row to depth i: the
-    step to depth d costs about (d + j)^2 / 2 big-integer multiply-adds,
-    so a column grown from depth 0 to depth i costs about
-    ((i + j)^3 - j^3) / 6, and the other columns are not touched.  No
-    step recurses, so depth is bounded by memory, not by the stack.
-    Weights enter by value (zero weights add nothing), so an overridden
-    Bernoulli prefix whose odd B_m do not vanish is followed exactly.
+    * Closed (j = 1, 2 of an honest table, one built with no Bernoulli
+      prefix).  Row (d, j) is the generating polynomial
+      t(t+1)...(t+d) [(t + d/2)] / (d+j)! with its t^k coefficient
+      scaled by k! (``_rising_row``).  The expansion e_0..e_d of 1..d
+      is kept per table and grows from depth d - 1 by one factor, so a
+      row costs O(d) big-integer operations.
+    * Toeplitz (every j >= 3, every column of a table with an
+      overridden prefix, and every column of a table built with
+      ``_toeplitz=True``, which ``verify`` uses so that its generating
+      polynomial check confronts two routes).  Depth i is depth i - 1
+      followed by one more step, the Toeplitz matrix of the weights
+      ``b_m = (-1)^m B_m / m!``:
+      ``c(i, j, k) = sum_l c(i-1, j, l) * b_{l+1-k}``.  The step to
+      depth d costs about (d + j)^2 / 2 big-integer multiply-adds, so a
+      column grown from depth 0 to depth i costs about
+      ((i + j)^3 - j^3) / 6.  Weights enter by value (zero weights add
+      nothing), so an overridden Bernoulli prefix whose odd B_m do not
+      vanish is followed exactly.
 
-    A row is stored as integer numerators over one common denominator,
-    reduced by one gcd pass.  A vector of rational scalars is brought
-    over one common denominator once (``_over_common``); ``dot`` and
-    every descended scalar sum a row against those integers and build
-    one Fraction for the result (``_descended``).  The
-    Fraction entries that ``coefficient`` returns are built once per
-    row, the first time the row is read that way, so repeated reads
-    return the same objects.
+    Both routes store a row as integer numerators over one common
+    denominator, reduced by one gcd pass (``_reduced``); that form is
+    unique, so the two routes store identical rows.  A vector of
+    rational scalars is brought over one common denominator once
+    (``_over_common``); ``dot`` and every descended scalar sum a row
+    against those integers and build one Fraction for the result
+    (``_descended``).  The Fraction entries that ``coefficient`` returns
+    are built once per row, the first time the row is read that way, so
+    repeated reads return the same objects.
 
-    Entries never change once computed, so threads may share a table
-    for reads of rows that already exist; growing a column is not
-    thread-safe.  The Bernoulli prefix may be overridden (used by the
-    corruption hook in the command-line tool); lazily extended entries
-    then follow consistently from the override.
+    The true Bernoulli numbers and their weights are computed once per
+    process, in a store every table without a prefix reads; a table
+    with an overridden prefix (used by the corruption hook in the
+    command-line tool) keeps private ones, extended lazily and
+    consistently from the override, and never writes into the shared
+    store.  Entries never change once computed, so threads may share a
+    table for reads of rows that already exist; growing a column of one
+    table is not thread-safe.  Tables in different threads may grow
+    their columns at once: the shared store grows under a lock.
     """
 
-    def __init__(self, bernoulli: Sequence[Fraction] | None = None):
-        self._bernoulli = [as_rational(b) for b in bernoulli] if bernoulli else [Fraction(1)]
-        if self._bernoulli[0] != 1:
-            raise ValueError("B_0 must be 1")
-        # b_m as (numerator, denominator) pairs, from b_0 = 1, and the lcm
-        # of the denominators of b_0..b_m.
-        self._weights: list[tuple[int, int]] = [(1, 1)]
-        self._lcms: list[int] = [1]
+    def __init__(
+        self, bernoulli: Sequence[Fraction] | None = None, *, _toeplitz: bool = False
+    ):
+        if bernoulli:
+            prefix = [as_rational(b) for b in bernoulli]
+            if prefix[0] != 1:
+                raise ValueError("B_0 must be 1")
+            self._weights = _Weights(prefix)
+        else:
+            self._weights = _HONEST
+        # e_0..e_d of 1..d at every depth d reached so far, taken from one
+        # running expansion; None when every column takes the Toeplitz route.
+        self._rising: list[list[int]] | None = None if bernoulli or _toeplitz else []
+        self._expansions = _symmetric_expansions(count(1))
         # Per j, the rows (0, j), (1, j), ... as (numerators, common denominator).
         self._columns: dict[int, list[tuple[list[int], int]]] = {}
         # Per (i, j), the row as Fractions, built on its first coefficient read.
         self._fractions: dict[tuple[int, int], list[Fraction]] = {}
 
     def bernoulli_number(self, m: int) -> Fraction:
-        return extend_bernoulli(self._bernoulli, m)[m]
+        return self._weights.bernoulli_number(m)
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         _check_indices(i, j)
@@ -238,31 +314,50 @@ class CoeffTable:
             column = self._columns[j] = [([0] * (j - 1) + [1], 1)]
         if len(column) > i:
             return column[i]
-        weights, lcms = self._weights, self._lcms
-        if len(weights) < i + j:
-            extend_bernoulli(self._bernoulli, i + j - 1)
-            for m in range(len(weights), i + j):
-                b = (-1) ** m * self._bernoulli[m] / factorial(m)
-                weights.append((b.numerator, b.denominator))
-                lcms.append(lcm(lcms[-1], b.denominator))
+        rising = self._rising
+        if rising is not None and j <= 2:
+            while len(rising) <= i:
+                rising.append(next(self._expansions))
+            for depth in range(len(column), i + 1):
+                column.append(_rising_row(rising[depth], depth, j))
+            return column[i]
+        weights = self._weights
+        weights.grow(i + j)
+        pairs, lcms = weights.pairs, weights.lcms
         for depth in range(len(column), i + 1):
             prev, prev_den = column[-1]
             # prev holds k = 1..top; row entry k sums prev[l-1] * b_{l+1-k}.
             top = depth - 1 + j
             scale = lcms[top]
-            w = [num * (scale // den) for num, den in weights[: top + 1]]
+            w = [num * (scale // den) for num, den in pairs[: top + 1]]
             nums = [sum(map(mul, prev, w[1:]))]
             nums += [sum(map(mul, prev[start:], w)) for start in range(top)]
-            den = g = prev_den * scale
-            for a in nums:
-                g = gcd(g, a)
-                if g == 1:
-                    break
-            if g != 1:
-                nums = [a // g for a in nums]
-                den //= g
-            column.append((nums, den))
+            column.append(_reduced(nums, prev_den * scale))
         return column[i]
+
+
+def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
+    """``(nums, den)`` divided by the gcd of den and every numerator; den > 0."""
+    # One gcd per entry: a gcd(den, *nums) call leaves its argument tuple
+    # in the interpreter's tuple free lists, so a long run's memory creeps.
+    g = den
+    for a in nums:
+        g = gcd(g, a)
+        if g == 1:
+            return nums, den
+    return [a // g for a in nums], den // g
+
+
+def _rising_row(rising: list[int], i: int, j: int) -> tuple[list[int], int]:
+    """Row (i, j), j in {1, 2}, from e_0..e_i of 1..i, reduced.
+
+    The t^k coefficient of generating polynomial (i, j) times k!, for
+    k = 1..i+j.  This is the closed route of an honest table; it holds
+    only for the true Bernoulli numbers.
+    """
+    nums, den = _generating_numerators(rising, i, j)
+    scaled = list(map(mul, nums[1:], accumulate(range(1, len(nums)), mul)))
+    return _reduced(scaled, den)
 
 
 _INDICES = "coefficient indices require i >= 0 and j >= 1"
@@ -555,6 +650,11 @@ def verify_identities(i: int, table: CoeffTable | None = None) -> IdentityReport
     composition/symmetric-function identity up to n = i + 2.  Nothing is
     thrown on failure; every mismatch is reported with its exact
     rational discrepancy.
+
+    Without ``table`` the rows come from a fresh table on the Toeplitz
+    route.  An honest ``CoeffTable()`` passed in serves its j = 1, 2
+    rows from the generating polynomials, so for it only the
+    composition closed forms are an independent route.
     """
     _check_int(i, 1, _DEPTH)
-    return _IdentityPass(i + 2).report(i, table or _SHARED)
+    return _IdentityPass(i + 2).report(i, table or CoeffTable(_toeplitz=True))

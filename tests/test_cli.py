@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import run_cli
-from fanodescent import cli
+from fanodescent import cli, coeffs
 from fanodescent.cli import RunReport, parse_split_vector_file
 from fanodescent.descent import catalogue
 from fanodescent.theorems import THM4, THM5, THM5_STRONG, proof_trace
@@ -160,6 +160,31 @@ def test_json_writer_refuses_anything_else(obj):
     report = RunReport("verify", {}, {"value": obj}, "pass", 0)
     with pytest.raises(TypeError):
         report.to_json()
+
+
+@pytest.mark.parametrize("value", ["0.5", "1e3", "-0.0", "NaN", "-Infinity"])
+def test_from_json_refuses_floats(value):
+    # The same rule as on output, but caught on input: to_json is never reached.
+    text = (
+        '{"schema_version": 1, "command": "verify", "parameters": {"max_i": %s}, '
+        '"results": {}, "status": "pass", "exit_code": 0}' % value
+    )
+    with pytest.raises(TypeError, match="cannot read float"):
+        RunReport.from_json(text)
+
+
+@pytest.mark.parametrize("name", ["verify_full.json", "verify_flip_b1.json"])
+def test_verify_reads_toeplitz_rows(monkeypatch, name):
+    # verify must confront the generating polynomials with another route,
+    # so its table never fills a row from them.
+    def refuse(*args):
+        raise AssertionError("verify filled a row from the generating polynomial")
+
+    monkeypatch.setattr(coeffs, "_rising_row", refuse)
+    argv, expected_code = GOLDEN_CASES[name]
+    code, out, _ = run_cli(argv)
+    assert code == expected_code
+    assert out == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize(

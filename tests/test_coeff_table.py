@@ -6,11 +6,14 @@ import functools
 import random
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, gcd, lcm
 
 import pytest
 
+from fanodescent import coeffs
 from fanodescent.coeffs import CoeffTable, generating_polynomial
 from fanodescent.descent import descend_direct, iterate_scalar, projective_space
 from fanodescent.exact import bernoulli_table, extend_bernoulli
@@ -282,3 +285,104 @@ def test_table_refuses_float_and_bool_bernoulli_prefix(prefix):
     # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10.
     with pytest.raises(ValueError, match=re.escape(repr(prefix[-1]))):
         CoeffTable(prefix)
+
+
+def test_closed_rows_equal_toeplitz_rows_to_depth_200():
+    # Both routes store the unique reduced (numerators, denominator) form.
+    closed, toeplitz = CoeffTable(), CoeffTable(_toeplitz=True)
+    for i in range(201):
+        for j in (1, 2):
+            assert closed._row(i, j) == toeplitz._row(i, j), (i, j)
+
+
+def test_cold_degree_one_constant_term_at_depth_300():
+    assert CoeffTable().coefficient(300, 1, 1) == Fraction(1, 301)
+
+
+def test_override_tables_leave_the_shared_weights_alone(monkeypatch):
+    # A fresh shared store, so the flipped table grows past everything in it.
+    monkeypatch.setattr(coeffs, "_HONEST", coeffs._Weights([Fraction(1)]))
+    flipped = CoeffTable(_flipped_seed())
+    for j in (1, 2, 5):
+        flipped.coefficient(40, j, 1)
+    assert flipped.bernoulli_number(50) != bernoulli_table(50)[50]
+    assert coeffs._HONEST.bernoulli == [1] and coeffs._HONEST.pairs == [(1, 1)]
+    honest = CoeffTable()
+    honest.coefficient(40, 5, 1)
+    expected = bernoulli_table(50)
+    assert [honest.bernoulli_number(m) for m in range(51)] == expected
+    assert coeffs._HONEST.pairs == [
+        ((-1) ** m * b / factorial(m)).as_integer_ratio() for m, b in enumerate(expected[:45])
+    ]
+
+
+def test_tables_in_threads_grow_the_shared_weights_consistently(monkeypatch):
+    # More threads than cores and a short switch interval, so the growth of
+    # the shared store interleaves; a lost or doubled update breaks the
+    # lengths or the values checked below.
+    monkeypatch.setattr(coeffs, "_HONEST", coeffs._Weights([Fraction(1)]))
+    depths = list(range(1, 41))
+    random.Random(5).shuffle(depths)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda i: CoeffTable().coefficient(i, 4, 1), i) for i in depths]
+            rows = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    reference = CoeffTable(bernoulli_table(2))
+    assert rows == [reference.coefficient(i, 4, 1) for i in depths]
+    store = coeffs._HONEST
+    assert store.bernoulli == bernoulli_table(len(store.bernoulli) - 1)
+    assert len(store.pairs) == len(store.lcms) == 44
+    assert store.pairs == reference._weights.pairs[:44]
+    assert store.lcms == list(accumulate((den for _, den in store.pairs), lcm))
+
+
+@functools.lru_cache(maxsize=None)
+def _stirling2(n, k):
+    """S2(n, k), set partitions of n into k blocks, by the standard recurrence."""
+    if n == k:
+        return 1
+    if k == 0 or k > n:
+        return 0
+    return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
+
+
+def _shifted_binomial(i, l):
+    """C(t + i, l + i) as rational t^0.. coefficients: (t+i)(t+i-1)...(t-l+1) / (l+i)!."""
+    poly = [Fraction(1)]
+    for a in range(-l + 1, i + 1):
+        poly = [x * a + y for x, y in zip([*poly, 0], [0, *poly])]
+    return [c / factorial(l + i) for c in poly]
+
+
+def _stirling_row(i, j):
+    """c(i, j, k) for k = 1..i+j as (k!/j!) sum_l S2(j, l) l! [t^k] C(t+i, l+i).
+
+    Iterated summation S f(t) = sum_{x=1}^t f(x) turns t^j/j! into
+    sum_k c(i, j, k) t^k/k!, and S^i C(t, l) = C(t+i, l+i).
+    """
+    series = [Fraction(0)] * (i + j + 1)
+    for l in range(1, j + 1):
+        weight = _stirling2(j, l) * factorial(l)
+        for k, c in enumerate(_shifted_binomial(i, l)):
+            series[k] += weight * c
+    return [series[k] * factorial(k) / factorial(j) for k in range(1, i + j + 1)]
+
+
+def test_stirling_numbers_match_sympy():
+    from sympy.functions.combinatorial.numbers import stirling
+
+    for n in range(13):
+        for k in range(n + 2):
+            assert _stirling2(n, k) == stirling(n, k, kind=2), (n, k)
+
+
+def test_stirling_route_matches_the_table_for_higher_degrees():
+    table = CoeffTable()
+    for i in range(1, 16):
+        for j in range(3, 10):
+            row = [table.coefficient(i, j, k) for k in range(1, i + j + 1)]
+            assert row == _stirling_row(i, j), (i, j)

@@ -120,7 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=_positive, default=3, help="fresh processes per case")
     parser.add_argument("--verify", type=_sizes, default=[20, 40, 80],
                         help="comma-separated M for verify --max-i M --max-n M")
-    parser.add_argument("--check", type=_sizes, default=[50, 100, 150, 200],
+    parser.add_argument("--check", type=_sizes, default=[50, 100, 150, 200, 400],
                         help="comma-separated m for check projective_space m --theorem thm4 --m m")
     parser.add_argument("--chain", type=_sizes, default=[100],
                         help="comma-separated n for chain projective_space n")
