@@ -11,14 +11,19 @@ independent routes compute the same numbers:
   tabulated by a dynamic programme over the last part,
 * coefficients of a rising-factorial generating polynomial (j = 1, 2).
 
-A ``CoeffTable`` built with no Bernoulli prefix fills its j = 1, 2
-columns from the generating polynomial, at O(i) big-integer operations
-per row against the O(i^2) of a Toeplitz step; every column j >= 3, and
-every column of a table with an overridden prefix, takes the Toeplitz
-route.  The table behind ``verify`` takes the Toeplitz route for every
-column, so that the generating polynomials stay a second route there.
-The true Bernoulli numbers behind the Toeplitz weights are computed once
-per process.
+A ``CoeffTable`` holds its rows in the power-sum basis: it stores
+c(i, j, k) * j!/k!, and a vector enters a descent sum as its scalars
+k! * x_k.  For a manifold whose Chern roots are integers, k! * r_k is the
+k-th Newton power sum of the roots, an integer (n + 1 for P^n,
+n + 2 - 2^k for Q^n), so the rows are summed against small integers.
+A table built with no Bernoulli prefix fills its j = 1, 2 columns from
+the generating polynomial, at O(i) big-integer operations per row
+against the O(i^2) of a Toeplitz step; every column j >= 3, and every
+column of a table with an overridden prefix, takes the Toeplitz route.
+The table behind ``verify`` takes the Toeplitz route for every column,
+so that the generating polynomials stay a second route there.  The true
+Bernoulli numbers behind the Toeplitz weights are computed once per
+process.
 
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
@@ -36,7 +41,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count
+from itertools import accumulate, count, islice
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -61,11 +66,13 @@ __all__ = [
 
 
 class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients.
+    """Holder of a dense univariate polynomial's exact rational coefficients.
 
     Coefficients are stored lowest degree first and normalized so the
     leading coefficient is nonzero; the zero polynomial is the empty
-    tuple and has degree -1.  Instances are immutable.
+    tuple and has degree -1.  Instances are immutable.  There is no
+    arithmetic: ``generating_polynomial`` builds one from integer
+    numerators, and callers read its coefficients.
     """
 
     __slots__ = ("coeffs",)
@@ -96,46 +103,6 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for pos, c in enumerate(b):
-            out[pos] += c
-        return Polynomial(out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial | Fraction | int") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            scalar = as_rational(other)
-            return Polynomial([c * scalar for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for pos1, c1 in enumerate(self.coeffs):
-            if c1 == 0:
-                continue
-            for pos2, c2 in enumerate(other.coeffs):
-                out[pos1 + pos2] += c1 * c2
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Fraction | int) -> "Polynomial":
-        scalar = as_rational(scalar)
-        return Polynomial([c / scalar for c in self.coeffs])
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Polynomial(0)"
@@ -152,16 +119,19 @@ class _Weights:
 
     ``bernoulli`` holds B_0, B_1, ...; ``pairs[m]`` is
     ``b_m = (-1)^m B_m / m!`` as (numerator, denominator); ``lcms[m]`` is
-    the lcm of the denominators of b_0..b_m.  All three lists only grow,
-    and only under the lock, so a reader may use any entry it sees.  A
-    grown tail is built locally and published with ``lcms`` extended
-    before ``pairs``: a reader that finds pair m also finds lcm m.
+    the lcm of the denominators of b_0..b_m; ``factorials[m]`` is m!,
+    which the Toeplitz route also uses to move rows between bases.  All
+    four lists only grow, and only under the lock, so a reader may use
+    any entry it sees.  A grown tail is built locally and published with
+    ``factorials`` and ``lcms`` extended before ``pairs``: a reader that
+    finds pair m also finds m! and lcm m.
     """
 
     def __init__(self, bernoulli: list[Fraction]):
         self.bernoulli = bernoulli
         self.pairs: list[tuple[int, int]] = [(1, 1)]
         self.lcms: list[int] = [1]
+        self.factorials: list[int] = [1]
         self._lock = threading.Lock()
 
     def bernoulli_number(self, m: int) -> Fraction:
@@ -177,12 +147,16 @@ class _Weights:
         with self._lock:
             start = len(self.pairs)
             extend_bernoulli(self.bernoulli, size - 1)
-            pairs, lcms, last = [], [], self.lcms[-1]
+            pairs, lcms, facts = [], [], []
+            last, fact = self.lcms[-1], self.factorials[-1]
             for m in range(start, size):
-                b = (-1) ** m * self.bernoulli[m] / factorial(m)
+                fact *= m
+                b = (-1) ** m * self.bernoulli[m] / fact
                 pairs.append((b.numerator, b.denominator))
                 last = lcm(last, b.denominator)
                 lcms.append(last)
+                facts.append(fact)
+            self.factorials.extend(facts)
             self.lcms.extend(lcms)
             self.pairs.extend(pairs)
 
@@ -198,40 +172,53 @@ class CoeffTable:
     of the starting manifold inside the degree-j Chern scalar of its
     i-th iterated minimal family, defined for 1 <= k <= i + j.  Depth
     i = 0 is the identity descent (weight 1 exactly when k = j), which
-    keeps certificate replays uniform at the first level.  The table
-    keeps one column of rows per j, from the unit row at depth 0 down; a
-    read that misses at (i, j) extends column j only, from its deepest
-    row to depth i, and the other columns are not touched.  No step
-    recurses, so depth is bounded by memory, not by the stack.  Two
-    routes fill a column:
+    keeps certificate replays uniform at the first level.
+
+    The table stores rows in the power-sum basis: row (i, j) holds
+    ``c^(i, j, k) = c(i, j, k) * j!/k!`` for k = 1..i+j, the weight of
+    k! * x_k inside j! * y_j.  It keeps one column of rows per j, from
+    the unit row at depth 0 down; a read that misses at (i, j) extends
+    column j only, from its deepest row to depth i, and the other
+    columns are not touched.  No step recurses, so depth is bounded by
+    memory, not by the stack.  Two routes fill a column:
 
     * Closed (j = 1, 2 of an honest table, one built with no Bernoulli
-      prefix).  Row (d, j) is the generating polynomial
-      t(t+1)...(t+d) [(t + d/2)] / (d+j)! with its t^k coefficient
-      scaled by k! (``_rising_row``).  The expansion e_0..e_d of 1..d
-      is kept per table and grows from depth d - 1 by one factor, so a
-      row costs O(d) big-integer operations.
+      prefix).  The generating polynomial t(t+1)...(t+d) [(t + d/2)] /
+      (d+j)! has the t^k coefficient c(d, j, k)/k!, so row (d, j) is
+      that polynomial times j!, read off its integer numerators
+      (``_rising_row``).  The expansion e_0..e_d of 1..d is kept per
+      table and grows from depth d - 1 by one factor, so a row costs
+      O(d) big-integer operations.
     * Toeplitz (every j >= 3, every column of a table with an
       overridden prefix, and every column of a table built with
       ``_toeplitz=True``, which ``verify`` uses so that its generating
       polynomial check confronts two routes).  Depth i is depth i - 1
       followed by one more step, the Toeplitz matrix of the weights
       ``b_m = (-1)^m B_m / m!``:
-      ``c(i, j, k) = sum_l c(i-1, j, l) * b_{l+1-k}``.  The step to
-      depth d costs about (d + j)^2 / 2 big-integer multiply-adds, so a
-      column grown from depth 0 to depth i costs about
-      ((i + j)^3 - j^3) / 6.  Weights enter by value (zero weights add
-      nothing), so an overridden Bernoulli prefix whose odd B_m do not
-      vanish is followed exactly.
+      ``c(i, j, k) = sum_l c(i-1, j, l) * b_{l+1-k}``.  The previous row
+      is scaled by l!/j! into the c basis, the step is taken there, and
+      the result is scaled back by j!/k!; the two scalings are O(d)
+      passes around the step.  The step to depth d costs about
+      (d + j)^2 / 2 big-integer multiply-adds, so a column grown from
+      depth 0 to depth i costs about ((i + j)^3 - j^3) / 6.  Weights
+      enter by value (zero weights add nothing), so an overridden
+      Bernoulli prefix whose odd B_m do not vanish is followed exactly.
 
     Both routes store a row as integer numerators over one common
     denominator, reduced by one gcd pass (``_reduced``); that form is
     unique, so the two routes store identical rows.  A vector of
-    rational scalars is brought over one common denominator once
-    (``_over_common``); ``dot`` and every descended scalar sum a row
-    against those integers and build one Fraction for the result
-    (``_descended``).  The Fraction entries that ``coefficient`` returns
-    are built once per row, the first time the row is read that way, so
+    rational scalars x_k enters as k! * x_k over their least common
+    denominator, computed once (``_over_common``); ``dot`` and every
+    descended scalar sum a row against those integers and build one
+    Fraction for the result (``_descended``), so a descended scalar
+    costs about i + j multiply-adds of a row entry by a vector entry.
+    For the catalogue manifolds the vector's denominator is 1 and its
+    entries have a few bits, so the cost lies in the row entries: row
+    (1, 64) holds numerators of up to 150 bits over a 19-bit
+    denominator, where the same row in the c basis has a 313-bit common
+    denominator and P^64 over its own one a 290-bit one.  The Fraction
+    entries that ``coefficient`` returns are converted back to the c
+    basis once per row, the first time the row is read that way, so
     repeated reads return the same objects.
 
     The true Bernoulli numbers and their weights are computed once per
@@ -274,7 +261,10 @@ class CoeffTable:
             return self._fractions[i, j][k - 1]
         except KeyError:
             nums, den = self._row(i, j)
-            row = self._fractions[i, j] = [Fraction(n, den) for n in nums]
+            # c(i, j, k) = c^(i, j, k) * k!/j!.
+            den *= factorial(j)
+            facts = accumulate(range(1, len(nums) + 1), mul)
+            row = self._fractions[i, j] = [Fraction(n * f, den) for n, f in zip(nums, facts)]
             return row[k - 1]
 
     def dot(self, i: int, j: int, x: Sequence[Fraction]) -> Fraction:
@@ -282,30 +272,32 @@ class CoeffTable:
 
         ``x`` must hold at least i + j rational scalars (floats and bools
         are refused); later ones are ignored.  The scalars are brought
-        over one common denominator once and summed against the row's
-        integer numerators, so no Fraction is built per term.
+        over one common denominator once, as k! * x[k-1], and summed
+        against the row's integer numerators, so no Fraction is built per
+        term.
         """
         return self._descended(i, j, *_row_scalars(i, j, x), shifted=False)
 
     def _descended(
         self, i: int, j: int, scaled: Sequence[int], common: int, shifted: bool = True
     ) -> Fraction:
-        """-i/j! + sum_{k=1}^{i+j} c(i, j, k) * scaled[k-1] / common, as one Fraction.
+        """-i/j! + sum_{k=1}^{i+j} c(i, j, k) * x_k, as one Fraction.
 
-        The kernel behind every descended scalar.  ``scaled`` holds
-        integer numerators over ``common`` (see ``_over_common``); entries
-        past i + j are ignored and missing ones count as zero.  The sum
-        runs in integers and one Fraction is built for the result; the
-        -i/j! term is left out unless ``shifted``.  Nothing is checked:
-        callers pass valid indices and enough numerators.
+        The kernel behind every descended scalar.  ``scaled`` holds the
+        power sums k! * x_k as integer numerators over ``common`` (see
+        ``_over_common``); entries past i + j are ignored and missing ones
+        count as zero.  Since c(i, j, k) * x_k = c^(i, j, k) * (k! * x_k)
+        / j!, the sum runs in integers against the stored row and one
+        Fraction is built for the result; the -i/j! term is left out
+        unless ``shifted``.  Nothing is checked: callers pass valid indices
+        and enough numerators.
         """
         nums, den = self._row(i, j)
         total = sum(map(mul, nums, scaled))
         den *= common
-        if not shifted:
-            return Fraction(total, den)
-        scale = factorial(j)
-        return Fraction(scale * total - i * den, scale * den)
+        if shifted:
+            total -= i * den
+        return Fraction(total, factorial(j) * den)
 
     def _row(self, i: int, j: int) -> tuple[list[int], int]:
         """Row (i, j) in integers, extending column j to depth i first."""
@@ -323,16 +315,23 @@ class CoeffTable:
             return column[i]
         weights = self._weights
         weights.grow(i + j)
-        pairs, lcms = weights.pairs, weights.lcms
+        pairs, lcms, facts = weights.pairs, weights.lcms, weights.factorials
+        # (i+j)!/k! at position k - 1, the first being (i+j)!.
+        to_hat = list(accumulate(range(i + j, 1, -1), mul, initial=1))[::-1]
         for depth in range(len(column), i + 1):
             prev, prev_den = column[-1]
-            # prev holds k = 1..top; row entry k sums prev[l-1] * b_{l+1-k}.
+            # prev holds l = 1..top; times l! it is c(depth-1, j, l) over
+            # prev_den * j!.  Row entry k sums c(depth-1, j, l) * b_{l+1-k}.
             top = depth - 1 + j
             scale = lcms[top]
             w = [num * (scale // den) for num, den in pairs[: top + 1]]
+            prev = list(map(mul, prev, islice(facts, 1, None)))
             nums = [sum(map(mul, prev, w[1:]))]
             nums += [sum(map(mul, prev[start:], w)) for start in range(top)]
-            column.append(_reduced(nums, prev_den * scale))
+            # Entry k is c(depth, j, k) over prev_den * j! * scale; times
+            # j!/k! it is nums[k-1] * (i+j)!/k! over prev_den * scale * (i+j)!.
+            nums = list(map(mul, nums, to_hat))
+            column.append(_reduced(nums, prev_den * scale * to_hat[0]))
         return column[i]
 
 
@@ -351,13 +350,13 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
 def _rising_row(rising: list[int], i: int, j: int) -> tuple[list[int], int]:
     """Row (i, j), j in {1, 2}, from e_0..e_i of 1..i, reduced.
 
-    The t^k coefficient of generating polynomial (i, j) times k!, for
-    k = 1..i+j.  This is the closed route of an honest table; it holds
-    only for the true Bernoulli numbers.
+    The t^k coefficient of generating polynomial (i, j) is c(i, j, k)/k!,
+    so times j! it is the stored c^(i, j, k), for k = 1..i+j.  This is the
+    closed route of an honest table; it holds only for the true Bernoulli
+    numbers.
     """
     nums, den = _generating_numerators(rising, i, j)
-    scaled = list(map(mul, nums[1:], accumulate(range(1, len(nums)), mul)))
-    return _reduced(scaled, den)
+    return _reduced(nums[1:], den // factorial(j))
 
 
 _INDICES = "coefficient indices require i >= 0 and j >= 1"
@@ -377,14 +376,34 @@ def _check_k(k: int, top: int, where: str = "") -> None:
 
 
 def _over_common(x: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The scalars ``x`` as integer numerators over their least common denominator.
+    """The power sums k! * x[k-1], k = 1, 2, ..., over their least common denominator.
 
-    The one place a vector is brought over a common denominator; floats
-    and bools are refused as by ``as_rational``.
+    The one place a vector enters the power-sum basis that the table's
+    rows are stored in; floats and bools are refused as by
+    ``as_rational``.  Returns the integer numerators and the common
+    denominator, which is 1 for every catalogue manifold.
     """
-    values = [as_rational(v) for v in x]
-    common = lcm(*[v.denominator for v in values])
-    return [v.numerator * (common // v.denominator) for v in values], common
+    nums, dens = [], []
+    common = fact = 1
+    for k, v in enumerate(x, 1):
+        v = as_rational(v)
+        fact *= k
+        den = v.denominator
+        q, r = divmod(fact, den)
+        if r:
+            # k! * x_k is not an integer; its denominator is den / gcd(k!, den).
+            g = gcd(fact, den)
+            q, den = fact // g, den // g
+            # A two-argument call: lcm(*dens) would leave its argument tuple
+            # in the interpreter's tuple free lists, so memory would creep.
+            common = lcm(common, den)
+        else:
+            den = 1
+        nums.append(v.numerator * q)
+        dens.append(den)
+    if common == 1:
+        return nums, 1
+    return [n * (common // d) for n, d in zip(nums, dens)], common
 
 
 def _row_scalars(i: int, j: int, x: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -449,7 +468,12 @@ def _closed_row(rows: list[list[int]], i: int, j: int) -> tuple[list[int], int]:
 
 
 def composition_sum(k: int, n: int) -> Fraction:
-    """Sum of 1/(l_1 * ... * l_k) over all compositions of n into k positive parts."""
+    """Sum of 1/(l_1 * ... * l_k) over all compositions of n into k positive parts.
+
+    Each call rebuilds the composition table to n, O(n^3) big-integer
+    operations, and keeps nothing: reading every k of one n this way
+    costs O(n^4).
+    """
     rule = "composition_sum requires 1 <= k <= n"
     _check_int(k, 1, rule, (k, n))
     _check_int(n, k, rule, (k, n))
@@ -457,7 +481,12 @@ def composition_sum(k: int, n: int) -> Fraction:
 
 
 def ch1_coefficient_closed(i: int, k: int) -> Fraction:
-    """Closed form for the degree-1 row: reciprocal sum over compositions of i+1."""
+    """Closed form for the degree-1 row: reciprocal sum over compositions of i+1.
+
+    Each call rebuilds the composition table to i + 1, O(i^3) big-integer
+    operations, and keeps nothing: reading the whole row one k at a time
+    costs O(i^4).
+    """
     _check_int(i, 1, _DEPTH)
     _check_k(k, i + 1)
     nums, den = _closed_row(_composition_rows(i + 1), i, 1)
@@ -465,7 +494,12 @@ def ch1_coefficient_closed(i: int, k: int) -> Fraction:
 
 
 def ch2_coefficient_closed(i: int, k: int) -> Fraction:
-    """Closed form for the degree-2 row: compositions of i+2 minus half those of i+1."""
+    """Closed form for the degree-2 row: compositions of i+2 minus half those of i+1.
+
+    Each call rebuilds the composition table to i + 2, O(i^3) big-integer
+    operations, and keeps nothing: reading the whole row one k at a time
+    costs O(i^4).
+    """
     _check_int(i, 1, _DEPTH)
     _check_k(k, i + 2)
     nums, den = _closed_row(_composition_rows(i + 2), i, 2)
@@ -598,13 +632,15 @@ class _IdentityPass:
     def report(self, i: int, table: CoeffTable) -> IdentityReport:
         """Every identity at depth i, the symmetric one through n = i + 2."""
         facts = self.factorials
-        recursion = {j: table._row(i, j) for j in (1, 2)}
-        # c(i, j, k)/k! for k = 1..i+j over den * (i+j)!, the t^k
-        # coefficients of sum_k c(i, j, k) t^k / k!.
-        series = {}
-        for j, (nums, den) in recursion.items():
-            scale = facts[i + j]
-            series[j] = ([a * (scale // facts[k]) for k, a in enumerate(nums, 1)], den * scale)
+        # The table's rows c^(i, j, k) = c(i, j, k) * j!/k!.  Over den * j!
+        # they are c(i, j, k)/k!, the t^k coefficients of
+        # sum_k c(i, j, k) t^k / k!; times k! they are c(i, j, k), the basis
+        # the closed forms and every reported discrepancy are in.
+        series, recursion = {}, {}
+        for j in (1, 2):
+            nums, den = table._row(i, j)
+            series[j] = nums, den * facts[j]
+            recursion[j] = [a * facts[k] for k, a in enumerate(nums, 1)], den * facts[j]
         at_k = {j: f"(i,j,k)=({i},{j},{{}})" for j in (1, 2)}
         checks: list[IdentityCheck] = []
         for j in (1, 2):
@@ -612,7 +648,7 @@ class _IdentityPass:
             checks.append(_compare(name, at_k[j], closed, recursion[j]))
         for j in (1, 2):
             # The t^k coefficient of the generating polynomial against
-            # c(i, j, k)/k!; at t^0 both are 0.
+            # c(i, j, k)/k! = c^(i, j, k)/j!; at t^0 both are 0.
             product, den = _generating_numerators(self.rising[i], i, j)
             name = f"generating_polynomial_ch{j}"
             checks.append(_compare(name, at_k[j], (product[1:], den), series[j]))

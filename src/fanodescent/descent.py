@@ -181,15 +181,17 @@ def iterate_scalar(
 
     where x lists at least i + j source scalars, already weighted by
     the powers of the first curve degree (r_k * a^k).  Depth 0 is the
-    identity.  The scalars are brought over one common denominator and
-    the result is one Fraction, built from an integer sum.
+    identity.  The power sums k! * x[k-1] are brought over one common
+    denominator and the result is one Fraction, built from an integer
+    sum.
     """
     tab = table or shared_table()
     return tab._descended(i, j, *_row_scalars(i, j, x))
 
 
 def _weighted(v: SplitChernVector, a: int, top: int) -> tuple[list[int], int]:
-    """r_k * a^k for k = 1..top, as integer numerators over one common denominator.
+    """The power sums k! * r_k * a^k for k = 1..top, as integer numerators
+    over one common denominator.
 
     The weight multiplies the numerators only; nothing is multiplied
     when a = 1.
@@ -209,9 +211,9 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
 
     which consumes r_{d+1}; a shorter vector raises
     InsufficientScalarsError.  For d <= 0 the step records the dimension
-    and carries no vector.  The weighted scalars are brought over one
-    common denominator once per step, and each s_j is one Fraction
-    built from an integer sum.
+    and carries no vector.  The weighted power sums k! * r_k * a^k are
+    brought over one common denominator once per step (it is 1 for P^n
+    and Q^n), and each s_j is one Fraction built from an integer sum.
     """
     _check_int(a, 1, _DEGREE)
     d = _family_dim(v.ch(1) * a, v.dim)
@@ -234,8 +236,8 @@ def descend_direct(
 
     with the same per-level dimension bookkeeping the step-by-step walk
     performs, so it raises exactly when the iterated walk would.  The
-    weighted scalars are brought over one common denominator once, for
-    every level check and every final scalar.
+    weighted power sums k! * r_k * a1^k are brought over one common
+    denominator once, for every level check and every final scalar.
     """
     _check_int(i, 1, _DEPTH)
     _check_int(a1, 1, _DEGREE)

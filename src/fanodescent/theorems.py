@@ -306,8 +306,9 @@ def proof_trace(
     the threshold inputs, or of the vector's own scalars when
     ``at_actual``, and is checked against its closed form in the gate's
     total slope*m + base (m+1 for thm4, 2m+1 or 2m+2 for the thm5 pair).
-    The inputs are brought over one common denominator once per
-    certificate.
+    The inputs enter as power sums k! * x_k over one common denominator,
+    once per certificate; at the thresholds (slope*m + offset(k))/k!
+    these are the integers slope*m + offset(k), over the denominator 1.
     """
     report = check_hypotheses(v, m, theorem)
     if not report.passed:
@@ -316,8 +317,8 @@ def proof_trace(
         )
     gate = _GATES[theorem]
     tab = table or shared_table()
-    # The m inputs over one common denominator, shared by every level;
-    # level i reads at most i + 1 <= m of them.
+    # The m inputs as power sums over one common denominator, shared by
+    # every level; level i reads at most i + 1 <= m of them.
     scaled, common = _over_common(
         [row.actual if at_actual else row.threshold for row in report.per_k]
     )

@@ -386,3 +386,52 @@ def test_stirling_route_matches_the_table_for_higher_degrees():
         for j in range(3, 10):
             row = [table.coefficient(i, j, k) for k in range(1, i + j + 1)]
             assert row == _stirling_row(i, j), (i, j)
+
+
+# --- the power-sum basis -------------------------------------------------------
+#
+# Rows are stored as c^(i, j, k) = c(i, j, k) * j!/k!, and a vector enters a
+# descent sum as k! * x_k over one denominator.
+
+
+@pytest.mark.parametrize("kind", ["honest", "toeplitz", "flipped"])
+def test_stored_rows_are_in_the_power_sum_basis(kind):
+    def build():
+        if kind == "flipped":
+            return CoeffTable(_flipped_seed())
+        return CoeffTable(_toeplitz=kind == "toeplitz")
+
+    # Rows from one table, Fraction coefficients from another filled in
+    # the opposite order, so neither read serves the other.
+    rows, values = build(), build()
+    keys = [(i, j) for i in range(41) for j in range(1, 13)]
+    expected = {
+        (i, j): [
+            values.coefficient(i, j, k) * factorial(j) / factorial(k) for k in range(1, i + j + 1)
+        ]
+        for i, j in reversed(keys)
+    }
+    for i, j in keys:
+        nums, den = rows._row(i, j)
+        assert den > 0 and functools.reduce(gcd, nums, den) == 1, (i, j)
+        assert [Fraction(n, den) for n in nums] == expected[i, j], (i, j)
+
+
+def test_over_common_returns_power_sums_over_the_least_denominator():
+    rng = random.Random(12)
+    for _ in range(200):
+        x = [Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(rng.randint(1, 12))]
+        x[rng.randrange(len(x))] = rng.randint(-5, 5)
+        nums, common = coeffs._over_common(x)
+        power_sums = [factorial(k) * v for k, v in enumerate(x, 1)]
+        assert all(type(n) is int for n in nums) and type(common) is int
+        assert [Fraction(n, common) for n in nums] == power_sums
+        assert common == lcm(*[p.denominator for p in power_sums])
+    assert coeffs._over_common([]) == ([], 1)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+def test_over_common_refuses_floats_and_bools(bad):
+    for x in ([bad], [Fraction(1, 2), bad, 3]):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            coeffs._over_common(x)

@@ -28,6 +28,27 @@ from fanodescent.exact import bernoulli_table, compositions, elementary_symmetri
 
 
 # --- Polynomial ---------------------------------------------------------------
+#
+# ``Polynomial`` only holds coefficients.  The oracles below multiply and
+# evaluate plain coefficient lists, lowest degree first, with these two
+# helpers.
+
+
+def _poly_mul(a, b):
+    """The product of two coefficient lists, as Fractions."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for pos1, c1 in enumerate(a):
+        for pos2, c2 in enumerate(b):
+            out[pos1 + pos2] += c1 * c2
+    return out
+
+
+def _poly_eval(coeffs, x):
+    """The value at x of a coefficient list, by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def test_polynomial_normalization_and_degree():
@@ -35,19 +56,19 @@ def test_polynomial_normalization_and_degree():
     assert Polynomial([]).degree == -1
     assert Polynomial([0, 0]).degree == -1
     assert Polynomial([5]).degree == 0
+    assert Polynomial([1, 2]).coefficient(5) == 0
 
 
 def test_polynomial_arithmetic():
-    p = Polynomial([1, 2])  # 1 + 2t
-    q = Polynomial([0, 0, 3])  # 3t^2
-    assert p + q == Polynomial([1, 2, 3])
-    assert p - p == Polynomial([])
-    assert p * q == Polynomial([0, 0, 3, 6])
-    assert 2 * p == Polynomial([2, 4])
-    assert (p * Fraction(1, 2)) == Polynomial([Fraction(1, 2), 1])
-    assert (q / 3) == Polynomial([0, 0, 1])
-    assert p.evaluate(Fraction(1, 2)) == 2
-    assert p.coefficient(5) == 0
+    # The test-side product and evaluation that the oracles rely on.
+    p, q = [1, 2], [0, 0, 3]  # 1 + 2t, 3t^2
+    assert _poly_mul(p, q) == [0, 0, 3, 6]
+    assert _poly_mul(q, p) == [0, 0, 3, 6]
+    assert _poly_mul(p, [Fraction(1, 2)]) == [Fraction(1, 2), 1]
+    assert Polynomial(_poly_mul(p, [1, -1])) == Polynomial([1, 1, -2])
+    assert _poly_eval(p, Fraction(1, 2)) == 2
+    assert _poly_eval(q, -2) == 12
+    assert _poly_eval([], 3) == 0
 
 
 def test_polynomial_immutable():
@@ -60,22 +81,6 @@ def test_polynomial_immutable():
 def test_polynomial_rejects_float_and_bool_coefficients(bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         Polynomial([1, bad])
-
-
-@pytest.mark.parametrize(
-    "operation, bad",
-    [
-        (lambda p: p * True, True),
-        (lambda p: True * p, True),
-        (lambda p: p / True, True),
-        (lambda p: p * 0.5, 0.5),
-        (lambda p: p.evaluate(0.5), 0.5),
-    ],
-    ids=["mul_bool", "rmul_bool", "div_bool", "mul_float", "evaluate_float"],
-)
-def test_polynomial_rejects_float_and_bool_scalars(operation, bad):
-    with pytest.raises(ValueError, match=re.escape(repr(bad))):
-        operation(Polynomial([1, 2]))
 
 
 @pytest.mark.parametrize("bad", [True, 1.0])
@@ -103,12 +108,12 @@ def test_polynomial_product_coefficients_are_elementary_symmetric():
         values = [
             Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rng.randint(0, 6))
         ]
-        poly = Polynomial([1])
+        poly = [Fraction(1)]
         for v in values:
-            poly = poly * Polynomial([v, 1])
+            poly = _poly_mul(poly, [v, 1])
         m = len(values)
         for l in range(m + 1):
-            assert poly.coefficient(m - l) == elementary_symmetric(l, values)
+            assert poly[m - l] == elementary_symmetric(l, values)
 
 
 # --- coefficient table ---------------------------------------------------------
@@ -327,8 +332,8 @@ def test_depth_three_and_four_rows_exist_via_recursion():
 # --- reference oracle for the identity suite ----------------------------------
 #
 # The per-depth identity suite as it was before the shared integer pass:
-# generating polynomials from generic Fraction Polynomial products, the
-# weighted sums read off a Fraction polynomial by ``evaluate``, and the
+# generating polynomials from generic Fraction products, the weighted
+# sums read off a Fraction polynomial by Horner's rule, and the
 # composition/symmetric identity re-expanded from scratch at every n of
 # every depth.  The composition rows come from the library's DP, looked up
 # at call time, so a test may corrupt them for both sides at once; the DP
@@ -359,12 +364,12 @@ def _reference_expansion(values):
 
 
 def _reference_generating_polynomial(i, j):
-    poly = Polynomial([0, 1])
+    poly = [0, 1]
     for c in range(1, i + 1):
-        poly = poly * Polynomial([c, 1])
-    if j == 1:
-        return poly / factorial(i + 1)
-    return poly * Polynomial([Fraction(i, 2), 1]) / factorial(i + 2)
+        poly = _poly_mul(poly, [c, 1])
+    if j == 2:
+        poly = _poly_mul(poly, [Fraction(i, 2), 1])
+    return Polynomial([c / factorial(i + j) for c in poly])
 
 
 def _reference_symmetric_check(rows):
@@ -420,7 +425,7 @@ def _reference_verify(i, table):
             checks.append(
                 _reference_compare(
                     f"sum_weights_ch{j}{suffix}",
-                    [(f"i={i}", Fraction(closed, factorial(j)), summed[j].evaluate(t))],
+                    [(f"i={i}", Fraction(closed, factorial(j)), _poly_eval(summed[j].coeffs, t))],
                 )
             )
     for j in (1, 2):

@@ -9,6 +9,7 @@ import pytest
 
 from fanodescent.coeffs import (
     CoeffTable,
+    _over_common,
     ch1_coefficient_closed,
     ch2_coefficient_closed,
     composition_sum,
@@ -621,3 +622,88 @@ def test_iterate_scalar_and_dot_refuse_bad_input(bad):
         iterate_scalar([1, 1], 1, 2, table)
     with pytest.raises(IndexError, match=re.escape("row (2, 2) needs 4 scalars, got 3")):
         table.dot(2, 2, [1, 2, 3])
+
+
+# --- the power-sum basis ---------------------------------------------------------
+
+
+def test_catalogue_vectors_have_power_sums_over_denominator_one():
+    # k! * r_k is the k-th power sum of the Chern roots: n + 1 for P^n and
+    # n + 2 - 2^k for Q^n.
+    for n in range(1, 101):
+        for build, power_sum in (
+            (projective_space, lambda k: n + 1),
+            (quadric, lambda k: n + 2 - 2**k),
+        ):
+            scaled, common = _over_common(build(n).vector.scalars)
+            assert common == 1, (build.__name__, n)
+            assert scaled == [power_sum(k) for k in range(1, n + 1)], (build.__name__, n)
+
+
+def _mixed_degree_vectors(table, seed, count):
+    """Seeded (vector, degrees): every chain member has an integral anticanonical degree.
+
+    The degrees are drawn from {1, 2, 3}.  r_{s+1} enters r_1 of the member
+    at depth s linearly, so it is solved for to give that member the
+    chosen degree, which falls by 1 to 3 per step.
+    """
+    rng = random.Random(seed)
+
+    def member_r1(r, degrees, s):
+        member = r
+        for a in degrees[:s]:
+            member = _reference_descend(table, member, a)
+        return member[0]
+
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        degrees = [rng.choice((1, 2, 3)) for _ in range(n)]
+        r = [rng.choice(_ORACLE_POOL) for _ in range(n)]
+        degree = rng.randint(3, n + 1)  # a first family of dimension 1..n-1
+        r[0] = Fraction(degree, degrees[0])
+        s = 1
+        while degree > 2:
+            degree -= rng.randint(1, 3)
+            r[s] = Fraction(0)
+            base = member_r1(r, degrees, s)
+            r[s] = Fraction(1)
+            weight = member_r1(r, degrees, s) - base
+            r[s] = (Fraction(degree, degrees[s]) - base) / weight
+            s += 1
+        yield SplitChernVector(tuple(r)), degrees
+
+
+def _reference_chain(table, r, degrees):
+    """(steps, terminal) of the walk by reference sums; steps are (a, d, scalars or None)."""
+    steps = []
+    while True:
+        a = degrees[len(steps)] if len(steps) < len(degrees) else 1
+        assert (r[0] * a).denominator == 1
+        d = int(r[0] * a) - 2
+        if d >= 1 and len(r) < d + 1:
+            return steps, INSUFFICIENT_DATA
+        if d < 0:
+            return steps, NEGATIVE_DIMENSION
+        if d == 0:
+            steps.append((a, 0, None))
+            return steps, DIMENSION_ZERO
+        r = _reference_descend(table, r, a)
+        steps.append((a, d, r))
+        if r[0] <= 0:
+            return steps, NOT_FANO
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["honest", "flip_b1"])
+def test_descend_chain_with_mixed_degrees_matches_reference_sum(flip):
+    table = _flipped_table() if flip else CoeffTable()
+    compared = 0
+    for v, degrees in _mixed_degree_vectors(table, 51 + flip, 100):
+        report = descend_chain(v, degrees, table)
+        steps, terminal = _reference_chain(table, list(v.scalars), degrees)
+        assert report.terminal == terminal
+        assert [
+            (s.degree_used, s.family_dim, s.descended and list(s.descended.scalars))
+            for s in report.steps
+        ] == steps
+        compared += len(steps)
+    assert compared >= 150

@@ -1,10 +1,12 @@
-"""Cold wall times of large CLI runs, written to a BENCH_*.json record.
+"""Cold wall times of large runs, written to a BENCH_*.json record.
 
-Each case runs ``python -m fanodescent ... --json`` in fresh processes
-against the package under ``--src`` and records the wall time of every
-process, their median and the sha256 of the JSON report.  The hash shows
-whether two sources give byte-identical reports; a case whose runs
-disagree, or that exits non-zero, makes the script exit 1.
+Each case runs in fresh processes against the package under ``--src``:
+a CLI case runs ``python -m fanodescent ... --json``, and a direct-descent
+case runs ``descend_direct(P^n, n // 3)`` on a cold table through
+``python -c`` and prints the descended scalars.  The record holds the
+wall time of every process, their median and the sha256 of the output.
+The hash shows whether two sources give byte-identical output; a case
+whose runs disagree, or that exits non-zero, makes the script exit 1.
 
 Usage (standard library only):
 
@@ -53,18 +55,36 @@ def _sizes(text: str) -> list[int]:
         ) from None
 
 
+# The direct-descent case: argv[1:] are n and the depth i.
+_DIRECT = (
+    "import sys\n"
+    "from fanodescent import descend_direct, projective_space\n"
+    "n, i = map(int, sys.argv[1:])\n"
+    "print(*descend_direct(projective_space(n).vector, i, 1).scalars)\n"
+)
+
+
 def cases(
-    verify_sizes: list[int], check_sizes: list[int], chain_sizes: list[int]
+    verify_sizes: list[int],
+    check_sizes: list[int],
+    chain_sizes: list[int],
+    direct_sizes: list[int] = (),
 ) -> list[tuple[str, list[str]]]:
-    """(name, argv) for every requested size, in the order they run."""
+    """(name, interpreter arguments) for every requested size, in the order they run."""
+    cli = ["-m", "fanodescent"]
     out = []
     for m in verify_sizes:
-        out.append((f"verify M={m}", ["verify", "--max-i", str(m), "--max-n", str(m), "--json"]))
+        argv = [*cli, "verify", "--max-i", str(m), "--max-n", str(m), "--json"]
+        out.append((f"verify M={m}", argv))
     for m in check_sizes:
-        argv = ["check", "projective_space", str(m), "--theorem", "thm4", "--m", str(m), "--json"]
-        out.append((f"check projective_space m={m} thm4", argv))
+        argv = [*cli, "check", "projective_space", str(m), "--theorem", "thm4", "--m", str(m)]
+        out.append((f"check projective_space m={m} thm4", [*argv, "--json"]))
     for n in chain_sizes:
-        out.append((f"chain projective_space n={n}", ["chain", "projective_space", str(n), "--json"]))
+        argv = [*cli, "chain", "projective_space", str(n), "--json"]
+        out.append((f"chain projective_space n={n}", argv))
+    for n in direct_sizes:
+        i = max(n // 3, 1)
+        out.append((f"descend_direct projective_space n={n} i={i}", ["-c", _DIRECT, str(n), str(i)]))
     return out
 
 
@@ -90,13 +110,13 @@ def machine() -> dict:
 
 
 def measure(src: Path, argv: list[str], repeats: int) -> dict:
-    """Run one case ``repeats`` times, each in a fresh interpreter."""
+    """Run one case ``repeats`` times, each in a fresh interpreter given ``argv``."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     walls, codes, digests = [], [], []
     for _ in range(repeats):
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "fanodescent", *argv], env=env, capture_output=True
+            [sys.executable, *argv], env=env, capture_output=True
         )
         walls.append(time.perf_counter() - start)
         codes.append(proc.returncode)
@@ -124,10 +144,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated m for check projective_space m --theorem thm4 --m m")
     parser.add_argument("--chain", type=_sizes, default=[100],
                         help="comma-separated n for chain projective_space n")
+    parser.add_argument("--direct", type=_sizes, default=[60],
+                        help="comma-separated n for descend_direct(P^n, n // 3) on a cold table")
     args = parser.parse_args(argv)
 
     results, ok = [], True
-    for name, case_argv in cases(args.verify, args.check, args.chain):
+    for name, case_argv in cases(args.verify, args.check, args.chain, args.direct):
         result = {"name": name, **measure(args.src.resolve(), case_argv, args.repeats)}
         results.append(result)
         clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
