@@ -303,13 +303,13 @@ def _check_dict(check: IdentityCheck) -> dict:
 
 
 def cmd_verify(args: argparse.Namespace) -> RunReport:
+    # A table given a prefix fills every row by the Toeplitz route, so the
+    # generating polynomials check another route.
+    seed = [Fraction(1)]
     if args.flip_b1:
         seed = bernoulli_table(2)
         seed[1] = -seed[1]
-        table = CoeffTable(seed)
-    else:
-        # Toeplitz rows, so the generating polynomials check another route.
-        table = CoeffTable(_toeplitz=True)
+    table = CoeffTable(seed)
     # One pass builds what every depth and the run-level check share.
     shared = _IdentityPass(max(args.max_i + 2, args.max_n))
     reports = [shared.report(i, table) for i in range(1, args.max_i + 1)]

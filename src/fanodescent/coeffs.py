@@ -9,21 +9,24 @@ independent routes compute the same numbers:
   columns, one Toeplitz step per depth,
 * closed forms as reciprocal sums over integer compositions (j = 1, 2),
   tabulated by a dynamic programme over the last part,
-* coefficients of a rising-factorial generating polynomial (j = 1, 2).
+* iterated summation: row (i, j) lists the coefficients of S^i(t^j),
+  where S f(t) = sum_{x=1}^{t} f(x), in closed form through Stirling
+  numbers and the hockey-stick identity; for j = 1, 2 this is the
+  rising-factorial generating polynomial.
 
 A ``CoeffTable`` holds its rows in the power-sum basis: it stores
 c(i, j, k) * j!/k!, and a vector enters a descent sum as its scalars
 k! * x_k.  For a manifold whose Chern roots are integers, k! * r_k is the
 k-th Newton power sum of the roots, an integer (n + 1 for P^n,
 n + 2 - 2^k for Q^n), so the rows are summed against small integers.
-A table built with no Bernoulli prefix fills its j = 1, 2 columns from
-the generating polynomial, at O(i) big-integer operations per row
-against the O(i^2) of a Toeplitz step; every column j >= 3, and every
-column of a table with an overridden prefix, takes the Toeplitz route.
-The table behind ``verify`` takes the Toeplitz route for every column,
-so that the generating polynomials stay a second route there.  The true
-Bernoulli numbers behind the Toeplitz weights are computed once per
-process.
+One rule picks a table's route: a table built with no Bernoulli prefix
+fills every column in closed form by iterated summation, and a table
+built with a prefix fills every column by the Toeplitz recursion.  The
+closed form holds only for the true Bernoulli numbers, and it never
+computes one.  ``verify`` builds its table with the prefix [1], so that
+the generating polynomials stay a second route there; a prefix that
+agrees with the true Bernoulli numbers reads the weights that are
+computed once per process.
 
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
@@ -41,10 +44,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, zip_longest
 from math import comb, factorial, gcd, lcm
-from operator import mul
-from typing import Sequence
+from operator import add, mul
+from typing import Iterator, Sequence
 
 from .exact import _check_int, _symmetric_expansions, as_rational, extend_bernoulli
 
@@ -161,7 +164,7 @@ class _Weights:
             self.pairs.extend(pairs)
 
 
-# The true Bernoulli numbers, shared by every table built without a prefix.
+# The true Bernoulli numbers, shared by every table whose prefix agrees with them.
 _HONEST = _Weights([Fraction(1)])
 
 
@@ -180,20 +183,23 @@ class CoeffTable:
     the unit row at depth 0 down; a read that misses at (i, j) extends
     column j only, from its deepest row to depth i, and the other
     columns are not touched.  No step recurses, so depth is bounded by
-    memory, not by the stack.  Two routes fill a column:
+    memory, not by the stack.  Whether a Bernoulli prefix was given
+    picks the route, for every column alike:
 
-    * Closed (j = 1, 2 of an honest table, one built with no Bernoulli
-      prefix).  The generating polynomial t(t+1)...(t+d) [(t + d/2)] /
-      (d+j)! has the t^k coefficient c(d, j, k)/k!, so row (d, j) is
-      that polynomial times j!, read off its integer numerators
-      (``_rising_row``).  The expansion e_0..e_d of 1..d is kept per
-      table and grows from depth d - 1 by one factor, so a row costs
-      O(d) big-integer operations.
-    * Toeplitz (every j >= 3, every column of a table with an
-      overridden prefix, and every column of a table built with
-      ``_toeplitz=True``, which ``verify`` uses so that its generating
-      polynomial check confronts two routes).  Depth i is depth i - 1
-      followed by one more step, the Toeplitz matrix of the weights
+    * Closed (no prefix: an honest table).  Row (d, j) is the list of
+      t^k coefficients of S^d(t^j), where S f(t) = sum_{x=1}^{t} f(x):
+      t(t+1)...(t+d) times a degree j - 1 polynomial G over (d+j)!, with
+      G built from the surjection numbers S2(j, l) * l! (see
+      ``_generating_numerators``).  The expansion e_0..e_d of 1..d and
+      the surjection numbers of every j reached are kept per table,
+      each grown by one step of its recurrence, so a row costs O(j^2)
+      small operations for G and O(min(d, j) * (d + j)) big-integer
+      operations for the product; for j = 1, 2, G is 1 and 2t + d, and
+      a row costs O(d).  No Bernoulli number is computed.
+    * Toeplitz (a prefix was given: the corruption hook's override, or
+      the prefix [1] of ``verify``, so that its generating polynomial
+      check confronts two routes).  Depth i is depth i - 1 followed by
+      one more step, the Toeplitz matrix of the weights
       ``b_m = (-1)^m B_m / m!``:
       ``c(i, j, k) = sum_l c(i-1, j, l) * b_{l+1-k}``.  The previous row
       is scaled by l!/j! into the c basis, the step is taken there, and
@@ -222,30 +228,35 @@ class CoeffTable:
     repeated reads return the same objects.
 
     The true Bernoulli numbers and their weights are computed once per
-    process, in a store every table without a prefix reads; a table
-    with an overridden prefix (used by the corruption hook in the
-    command-line tool) keeps private ones, extended lazily and
-    consistently from the override, and never writes into the shared
-    store.  Entries never change once computed, so threads may share a
-    table for reads of rows that already exist; growing a column of one
-    table is not thread-safe.  Tables in different threads may grow
-    their columns at once: the shared store grows under a lock.
+    process, in a shared store.  A table whose prefix agrees with the
+    true Bernoulli numbers reads it, and so does ``bernoulli_number`` of
+    a table without a prefix; a table with an overridden prefix keeps
+    private ones, extended lazily and consistently from the override,
+    and never writes into the shared store.  Entries never change once
+    computed, so threads may share a table for reads of rows that
+    already exist; growing a column of one table is not thread-safe.
+    Tables in different threads may grow their columns at once: the
+    shared store grows under a lock.
     """
 
-    def __init__(
-        self, bernoulli: Sequence[Fraction] | None = None, *, _toeplitz: bool = False
-    ):
-        if bernoulli:
-            prefix = [as_rational(b) for b in bernoulli]
-            if prefix[0] != 1:
-                raise ValueError("B_0 must be 1")
-            self._weights = _Weights(prefix)
+    def __init__(self, bernoulli: Sequence[Fraction] | None = None):
+        self._weights = _HONEST
+        # The coefficients of (t+1)...(t+d), t^0 first, at every depth d
+        # reached so far, and S2(j, l) * l! for every j reached so far, each
+        # taken from one running recurrence; _shifted is None when a prefix
+        # was given (the Toeplitz route).
+        self._shifted: list[list[int]] | None = None
+        if bernoulli is None:
+            self._shifted, self._surjections = [], []
+            self._expansions = _symmetric_expansions(count(1))
+            self._surjection_rows = _surjection_rows()
         else:
-            self._weights = _HONEST
-        # e_0..e_d of 1..d at every depth d reached so far, taken from one
-        # running expansion; None when every column takes the Toeplitz route.
-        self._rising: list[list[int]] | None = None if bernoulli or _toeplitz else []
-        self._expansions = _symmetric_expansions(count(1))
+            prefix = [as_rational(b) for b in bernoulli]
+            if not prefix or prefix[0] != 1:
+                raise ValueError("B_0 must be 1")
+            # A prefix that agrees with the true Bernoulli numbers reads the shared store.
+            if prefix != extend_bernoulli([Fraction(1)], len(prefix) - 1):
+                self._weights = _Weights(prefix)
         # Per j, the rows (0, j), (1, j), ... as (numerators, common denominator).
         self._columns: dict[int, list[tuple[list[int], int]]] = {}
         # Per (i, j), the row as Fractions, built on its first coefficient read.
@@ -306,12 +317,16 @@ class CoeffTable:
             column = self._columns[j] = [([0] * (j - 1) + [1], 1)]
         if len(column) > i:
             return column[i]
-        rising = self._rising
-        if rising is not None and j <= 2:
-            while len(rising) <= i:
-                rising.append(next(self._expansions))
+        shifted = self._shifted
+        if shifted is not None:
+            # No prefix was given: iterated summation.
+            surjections = self._surjections
+            while len(surjections) <= j:
+                surjections.append(next(self._surjection_rows))
+            while len(shifted) <= i:
+                shifted.append(next(self._expansions)[::-1])
             for depth in range(len(column), i + 1):
-                column.append(_rising_row(rising[depth], depth, j))
+                column.append(_generating_numerators(shifted[depth], depth, surjections[j]))
             return column[i]
         weights = self._weights
         weights.grow(i + j)
@@ -339,24 +354,28 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
     """``(nums, den)`` divided by the gcd of den and every numerator; den > 0."""
     # One gcd per entry: a gcd(den, *nums) call leaves its argument tuple
     # in the interpreter's tuple free lists, so a long run's memory creeps.
+    # From the last entry: on the closed route that is G's leading
+    # coefficient j!, small next to the others, which share most of the
+    # factors of the denominator (i+j)!.
     g = den
-    for a in nums:
+    for a in reversed(nums):
         g = gcd(g, a)
         if g == 1:
             return nums, den
     return [a // g for a in nums], den // g
 
 
-def _rising_row(rising: list[int], i: int, j: int) -> tuple[list[int], int]:
-    """Row (i, j), j in {1, 2}, from e_0..e_i of 1..i, reduced.
+def _surjection_rows() -> Iterator[list[int]]:
+    """S2(j, l) * l!, l = 0..j, the surjections of a j-set onto an l-set, for j = 0, 1, ...
 
-    The t^k coefficient of generating polynomial (i, j) is c(i, j, k)/k!,
-    so times j! it is the stored c^(i, j, k), for k = 1..i+j.  This is the
-    closed route of an honest table; it holds only for the true Bernoulli
-    numbers.
+    Each row comes from the one before by F(j, l) = l * (F(j-1, l-1) +
+    F(j-1, l)), so reaching row j costs O(j^2) small-integer operations
+    once.
     """
-    nums, den = _generating_numerators(rising, i, j)
-    return _reduced(nums[1:], den // factorial(j))
+    row = [1]
+    while True:
+        yield row
+        row = list(map(mul, count(), map(add, [0, *row], [*row, 0])))
 
 
 _INDICES = "coefficient indices require i >= 0 and j >= 1"
@@ -506,17 +525,49 @@ def ch2_coefficient_closed(i: int, k: int) -> Fraction:
     return Fraction(nums[k - 1], den)
 
 
-def _generating_numerators(rising: list[int], i: int, j: int) -> tuple[list[int], int]:
-    """Generating polynomial (i, j) as integer numerators over one denominator, t^0 first.
+def _generating_numerators(
+    shifted: list[int], i: int, surjections: list[int]
+) -> tuple[list[int], int]:
+    """S^i(t^j), from t^1, as reduced integer numerators over one denominator.
 
-    ``rising`` is e_0, ..., e_i of 1, ..., i, so the t^k coefficient of
-    t(t+1)...(t+i) is e_{i+1-k}.  For j = 2 the factor t + i/2 is taken
-    as (2t + i) over an extra 2.
+    This is row (i, j) of an honest table, the closed route; it holds
+    only for the true Bernoulli numbers.  S f(t) = sum_{x=1}^{t} f(x),
+    and S^i(t^j) is j! times generating polynomial (i, j): its t^k
+    coefficient is c^(i, j, k) = c(i, j, k) * j!/k!, for k = 1..i+j (the
+    t^0 coefficient is 0).  With t^j = sum_l S2(j, l) l! C(t, l) and the
+    hockey-stick identity S^i C(t, l) = C(t+i, l+i),
+
+        S^i(t^j) = t(t+1)...(t+i) * G(t) / (i+j)!,
+        G(t) = sum_{l=1}^{j} S2(j, l) l! (i+j)!/(i+l)! (t-1)(t-2)...(t-l+1).
+
+    ``shifted`` holds the coefficients of (t+1)...(t+i), t^0 first, that
+    is e_i, ..., e_0 of 1, ..., i, and ``surjections`` is S2(j, l) * l!
+    for l = 0..j.  G is expanded by Horner in the Newton basis, O(j^2)
+    operations; it is 1 for j = 1 and 2t + i for j = 2.  The product
+    runs Horner over the shorter factor, O(min(i, j) * (i + j))
+    operations, so a row of j = 1, 2 costs O(i).
     """
-    nums = [0, *reversed(rising)]
-    if j == 1:
-        return nums, factorial(i + 1)
-    return [i * a + 2 * b for a, b in zip([*nums, 0], [0, *nums])], 2 * factorial(i + 2)
+    j = len(surjections) - 1
+    g, scale = [surjections[j]], 1
+    for l in range(j - 1, 0, -1):
+        # scale = (i+j)!/(i+l)!; g <- g * (t - l) + S2(j, l) l! * scale.
+        scale *= i + l + 1
+        g.append(0)
+        g = [a - l * b for a, b in zip([surjections[l] * scale, *g], g)]
+    # (t+1)...(t+i) is monic, so by Gauss's lemma the product's content is
+    # G's: reducing G against (i+j)! reduces the whole row.
+    g, den = _reduced(g, factorial(i + j))
+    # Horner over the shorter factor, whose leading coefficient enters the
+    # first step.  A one-entry factor is [1] (G for j = 1, the empty product
+    # for i = 0), so then the row is the other factor itself.
+    a = shifted
+    if len(a) < len(g):
+        a, g = g, a
+    row, lead = a, g[-1]
+    for c in g[-2::-1]:
+        row = [c * x + lead * y for x, y in zip_longest(a, [0, *row], fillvalue=0)]
+        lead = 1
+    return row, den
 
 
 def generating_polynomial(i: int, j: int) -> Polynomial:
@@ -526,11 +577,15 @@ def generating_polynomial(i: int, j: int) -> Polynomial:
     j = 2: t(t+1)...(t+i)(t + i/2) / (i+2)!
     """
     _check_int(i, 1, _DEPTH)
-    if j not in (1, 2):
-        raise ValueError(f"generating polynomials exist only for j in {{1, 2}}, got {j}")
+    rule = "generating polynomials exist only for j in {1, 2}"
+    _check_int(j, 1, rule)
+    if j > 2:
+        raise ValueError(f"{rule}, got {j}")
     *_, rising = _symmetric_expansions(range(1, i + 1))
-    nums, den = _generating_numerators(rising, i, j)
-    return Polynomial([Fraction(n, den) for n in nums])
+    *_, surjections = islice(_surjection_rows(), j + 1)
+    nums, den = _generating_numerators(rising[::-1], i, surjections)
+    den *= factorial(j)
+    return Polynomial([0, *(Fraction(n, den) for n in nums)])
 
 
 @dataclass(frozen=True)
@@ -597,8 +652,9 @@ class _IdentityPass:
     """What every depth of one identity run shares, built once up to n = top.
 
     Holds the factorials through top, the composition rows n! * S(k, n)
-    for n <= top, the integer expansions ``rising[m]`` = e_0, ..., e_m of
-    1, ..., m for m < top (one product recurrence, one factor per m), and
+    for n <= top, the integer expansions ``shifted[m]`` = e_m, ..., e_0 of
+    1, ..., m for m < top, the coefficients of (t+1)...(t+m) (one product
+    recurrence, one factor per m), and
     the outcome of the composition/symmetric identity
     n! * S(k, n) == k! * e_{n-k}(1, ..., n-1) at every 1 <= k <= n <= top,
     each (k, n) compared once.  ``report(i)`` for i <= top - 2 and
@@ -612,14 +668,14 @@ class _IdentityPass:
     def __init__(self, top: int):
         self.factorials = list(accumulate(range(1, top + 1), mul, initial=1))
         self.rows = _composition_rows(top)
-        self.rising = list(_symmetric_expansions(range(1, top)))
+        self.shifted = [e[::-1] for e in _symmetric_expansions(range(1, top))]
+        self.surjections = list(islice(_surjection_rows(), 3))
         self._symmetric: list[Discrepancy] = []
         # _symmetric_upto[n]: the number of discrepancies at sizes <= n.
         self._symmetric_upto = [0]
         facts = self.factorials
         for n in range(1, top + 1):
-            e = self.rising[n - 1]
-            symmetric = [facts[k] * e[n - k] for k in range(1, n + 1)]
+            symmetric = list(map(mul, islice(facts, 1, None), self.shifted[n - 1]))
             where = f"(k,n)=({{}},{n})"
             check = _compare(_SYMMETRIC, where, (symmetric, facts[n]), (self.rows[n][1:], facts[n]))
             self._symmetric += check.discrepancies
@@ -647,11 +703,11 @@ class _IdentityPass:
             name, closed = f"recursion_vs_composition_ch{j}", _closed_row(self.rows, i, j)
             checks.append(_compare(name, at_k[j], closed, recursion[j]))
         for j in (1, 2):
-            # The t^k coefficient of the generating polynomial against
-            # c(i, j, k)/k! = c^(i, j, k)/j!; at t^0 both are 0.
-            product, den = _generating_numerators(self.rising[i], i, j)
+            # The t^k coefficient of the generating polynomial S^i(t^j)/j!
+            # against c(i, j, k)/k! = c^(i, j, k)/j!, for k = 1..i+j.
+            product, den = _generating_numerators(self.shifted[i], i, self.surjections[j])
             name = f"generating_polynomial_ch{j}"
-            checks.append(_compare(name, at_k[j], (product[1:], den), series[j]))
+            checks.append(_compare(name, at_k[j], (product, den * facts[j]), series[j]))
         for j in (1, 2):
             # The generating polynomial is 1/j! at t = 1 and (i + 2^j)/j! at t = 2.
             nums, den = series[j]
@@ -687,10 +743,11 @@ def verify_identities(i: int, table: CoeffTable | None = None) -> IdentityReport
     thrown on failure; every mismatch is reported with its exact
     rational discrepancy.
 
-    Without ``table`` the rows come from a fresh table on the Toeplitz
-    route.  An honest ``CoeffTable()`` passed in serves its j = 1, 2
-    rows from the generating polynomials, so for it only the
-    composition closed forms are an independent route.
+    Without ``table`` the rows come from a fresh table given the true
+    prefix [1], which takes the Toeplitz route.  An honest
+    ``CoeffTable()`` passed in serves its rows from the generating
+    polynomials, so for it only the composition closed forms are an
+    independent route.
     """
     _check_int(i, 1, _DEPTH)
-    return _IdentityPass(i + 2).report(i, table or CoeffTable(_toeplitz=True))
+    return _IdentityPass(i + 2).report(i, table or CoeffTable([Fraction(1)]))

@@ -175,16 +175,23 @@ def test_from_json_refuses_floats(value):
 
 @pytest.mark.parametrize("name", ["verify_full.json", "verify_flip_b1.json"])
 def test_verify_reads_toeplitz_rows(monkeypatch, name):
-    # verify must confront the generating polynomials with another route,
-    # so its table never fills a row from them.
-    def refuse(*args):
-        raise AssertionError("verify filled a row from the generating polynomial")
+    # verify must confront the generating polynomials with another route:
+    # it builds each polynomial (i, j) once for its identity, and its table
+    # never fills a row from them.
+    calls = []
+    closed = coeffs._generating_numerators
 
-    monkeypatch.setattr(coeffs, "_rising_row", refuse)
+    def counted(shifted, i, surjections):
+        calls.append((i, len(surjections) - 1))
+        return closed(shifted, i, surjections)
+
+    monkeypatch.setattr(coeffs, "_generating_numerators", counted)
     argv, expected_code = GOLDEN_CASES[name]
     code, out, _ = run_cli(argv)
     assert code == expected_code
     assert out == (GOLDEN / name).read_text()
+    max_i = int(argv[argv.index("--max-i") + 1])
+    assert calls == [(i, j) for i in range(1, max_i + 1) for j in (1, 2)]
 
 
 @pytest.mark.parametrize(

@@ -289,10 +289,27 @@ def test_table_refuses_float_and_bool_bernoulli_prefix(prefix):
 
 def test_closed_rows_equal_toeplitz_rows_to_depth_200():
     # Both routes store the unique reduced (numerators, denominator) form.
-    closed, toeplitz = CoeffTable(), CoeffTable(_toeplitz=True)
+    # A table given the true prefix takes the Toeplitz route in every column.
+    closed, toeplitz = CoeffTable(), CoeffTable([Fraction(1)])
     for i in range(201):
         for j in (1, 2):
             assert closed._row(i, j) == toeplitz._row(i, j), (i, j)
+    for j in range(3, 13):
+        for i in range(61):
+            assert closed._row(i, j) == toeplitz._row(i, j), (i, j)
+
+
+def test_empty_bernoulli_prefix_is_refused():
+    with pytest.raises(ValueError, match="B_0 must be 1"):
+        CoeffTable([])
+
+
+def test_honest_tables_leave_the_shared_weights_alone(monkeypatch):
+    monkeypatch.setattr(coeffs, "_HONEST", coeffs._Weights([Fraction(1)]))
+    table = CoeffTable()
+    for j in range(1, 13):
+        table.coefficient(30, j, 1)
+    assert coeffs._HONEST.bernoulli == [1] and coeffs._HONEST.pairs == [(1, 1)]
 
 
 def test_cold_degree_one_constant_term_at_depth_300():
@@ -307,7 +324,7 @@ def test_override_tables_leave_the_shared_weights_alone(monkeypatch):
         flipped.coefficient(40, j, 1)
     assert flipped.bernoulli_number(50) != bernoulli_table(50)[50]
     assert coeffs._HONEST.bernoulli == [1] and coeffs._HONEST.pairs == [(1, 1)]
-    honest = CoeffTable()
+    honest = CoeffTable([Fraction(1)])
     honest.coefficient(40, 5, 1)
     expected = bernoulli_table(50)
     assert [honest.bernoulli_number(m) for m in range(51)] == expected
@@ -327,16 +344,22 @@ def test_tables_in_threads_grow_the_shared_weights_consistently(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(lambda i: CoeffTable().coefficient(i, 4, 1), i) for i in depths]
+            futures = [
+                pool.submit(lambda i: CoeffTable([Fraction(1)]).coefficient(i, 4, 1), i)
+                for i in depths
+            ]
             rows = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    reference = CoeffTable(bernoulli_table(2))
+    # The closed route reads no Bernoulli number, so it is an independent reference.
+    reference = CoeffTable()
     assert rows == [reference.coefficient(i, 4, 1) for i in depths]
     store = coeffs._HONEST
     assert store.bernoulli == bernoulli_table(len(store.bernoulli) - 1)
     assert len(store.pairs) == len(store.lcms) == 44
-    assert store.pairs == reference._weights.pairs[:44]
+    assert store.pairs == [
+        ((-1) ** m * b / factorial(m)).as_integer_ratio() for m, b in enumerate(bernoulli_table(43))
+    ]
     assert store.lcms == list(accumulate((den for _, den in store.pairs), lcm))
 
 
@@ -399,7 +422,7 @@ def test_stored_rows_are_in_the_power_sum_basis(kind):
     def build():
         if kind == "flipped":
             return CoeffTable(_flipped_seed())
-        return CoeffTable(_toeplitz=kind == "toeplitz")
+        return CoeffTable([Fraction(1)] if kind == "toeplitz" else None)
 
     # Rows from one table, Fraction coefficients from another filled in
     # the opposite order, so neither read serves the other.

@@ -247,6 +247,13 @@ def test_generating_polynomial_values():
         generating_polynomial(2, 3)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0])
+def test_generating_polynomial_refuses_bool_and_float_degree(bad):
+    # True and 1.0 used to give the j = 1 polynomial, 2.0 the j = 2 one.
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        generating_polynomial(3, bad)
+
+
 # --- identity suite -----------------------------------------------------------
 
 
