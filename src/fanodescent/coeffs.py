@@ -214,10 +214,12 @@ class CoeffTable:
     denominator, reduced by one gcd pass (``_reduced``); that form is
     unique, so the two routes store identical rows.  A vector of
     rational scalars x_k enters as k! * x_k over their least common
-    denominator, computed once (``_over_common``); ``dot`` and every
-    descended scalar sum a row against those integers and build one
-    Fraction for the result (``_descended``), so a descended scalar
-    costs about i + j multiply-adds of a row entry by a vector entry.
+    denominator, computed once (``_over_common``); ``dot``, every
+    descended scalar and every certificate bound sum a row against
+    those integers into one unreduced integer pair (``_descended``),
+    which a reported value turns into one Fraction and a comparison
+    cross-multiplies, so a descended scalar costs about i + j
+    multiply-adds of a row entry by a vector entry.
     For the catalogue manifolds the vector's denominator is 1 and its
     entries have a few bits, so the cost lies in the row entries: row
     (1, 64) holds numerators of up to 150 bits over a 19-bit
@@ -287,28 +289,31 @@ class CoeffTable:
         against the row's integer numerators, so no Fraction is built per
         term.
         """
-        return self._descended(i, j, *_row_scalars(i, j, x), shifted=False)
+        return Fraction(*self._descended(i, j, *_row_scalars(i, j, x), shifted=False))
 
     def _descended(
         self, i: int, j: int, scaled: Sequence[int], common: int, shifted: bool = True
-    ) -> Fraction:
-        """-i/j! + sum_{k=1}^{i+j} c(i, j, k) * x_k, as one Fraction.
+    ) -> tuple[int, int]:
+        """-i/j! + sum_{k=1}^{i+j} c(i, j, k) * x_k, as an unreduced pair.
 
-        The kernel behind every descended scalar.  ``scaled`` holds the
-        power sums k! * x_k as integer numerators over ``common`` (see
-        ``_over_common``); entries past i + j are ignored and missing ones
-        count as zero.  Since c(i, j, k) * x_k = c^(i, j, k) * (k! * x_k)
-        / j!, the sum runs in integers against the stored row and one
-        Fraction is built for the result; the -i/j! term is left out
-        unless ``shifted``.  Nothing is checked: callers pass valid indices
-        and enough numerators.
+        The kernel behind every descended scalar and every certificate
+        bound.  ``scaled`` holds the power sums k! * x_k as integer
+        numerators over ``common`` (see ``_over_common``); entries past
+        i + j are ignored and missing ones count as zero.  Since
+        c(i, j, k) * x_k = c^(i, j, k) * (k! * x_k) / j!, the sum runs in
+        integers against the stored row.  The result is the pair
+        (numerator, denominator), denominator > 0, not reduced: a caller
+        that reports a scalar builds ``Fraction(*pair)``, one that only
+        compares cross-multiplies.  The -i/j! term is left out unless
+        ``shifted``.  Nothing is checked: callers pass valid indices and
+        enough numerators.
         """
         nums, den = self._row(i, j)
         total = sum(map(mul, nums, scaled))
         den *= common
         if shifted:
             total -= i * den
-        return Fraction(total, factorial(j) * den)
+        return total, factorial(j) * den
 
     def _row(self, i: int, j: int) -> tuple[list[int], int]:
         """Row (i, j) in integers, extending column j to depth i first."""

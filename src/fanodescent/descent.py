@@ -98,9 +98,9 @@ class SplitChernVector:
         return len(self.scalars)
 
     def ch(self, k: int) -> Fraction:
-        """The degree-k Chern scalar r_k, 1-indexed."""
-        if not 1 <= k <= self.dim:
-            raise ValueError(f"ch_{k} not stored for a dimension-{self.dim} vector")
+        """The degree-k Chern scalar r_k, 1-indexed; k must be an int."""
+        if type(k) is not int or not 1 <= k <= self.dim:
+            raise ValueError(f"ch_{k!r} not stored for a dimension-{self.dim} vector")
         return self.scalars[k - 1]
 
     @property
@@ -144,19 +144,22 @@ class ChainReport:
 _DEGREE = "curve degree must be a positive integer"
 
 
-def _family_dim(degree: Fraction, carried: int | None = None, where: str = "") -> int:
-    """The family dimension degree - 2 from an anticanonical degree.
+def _family_dim(num: int, den: int, carried: int | None = None, where: str = "") -> int:
+    """The family dimension degree - 2 from an anticanonical degree num/den.
 
-    The degree must be an integer.  When ``carried`` is given, a
-    positive dimension d also needs ch_{d+1} among the ``carried``
-    scalars of the source, which the descended scalars consume.
+    The degree must be an integer, which ``num % den`` decides (den > 0);
+    a Fraction is built only for the error message.  When ``carried`` is
+    given, a positive dimension d also needs ch_{d+1} among the
+    ``carried`` scalars of the source, which the descended scalars
+    consume.
     """
-    if degree.denominator != 1:
+    degree, rest = divmod(num, den)
+    if rest:
         raise NonIntegralDimensionError(
-            f"anticanonical degree {degree}{where} is not an integer; "
+            f"anticanonical degree {Fraction(num, den)}{where} is not an integer; "
             "the model is inconsistent for this curve degree"
         )
-    d = int(degree) - 2
+    d = degree - 2
     if carried is not None and d >= 1 and carried < d + 1:
         raise InsufficientScalarsError(
             f"descent to a dimension-{d} family{where} needs ch_{d + 1}, but "
@@ -169,7 +172,8 @@ def _family_dim(degree: Fraction, carried: int | None = None, where: str = "") -
 def family_dimension(v: SplitChernVector, a: int) -> int:
     """Dimension of the minimal family of degree-a rational curves: r_1*a - 2."""
     _check_int(a, 1, _DEGREE)
-    return _family_dim(v.ch(1) * a)
+    r = v.scalars[0]
+    return _family_dim(r.numerator * a, r.denominator)
 
 
 def iterate_scalar(
@@ -186,7 +190,7 @@ def iterate_scalar(
     sum.
     """
     tab = table or shared_table()
-    return tab._descended(i, j, *_row_scalars(i, j, x))
+    return Fraction(*tab._descended(i, j, *_row_scalars(i, j, x)))
 
 
 def _weighted(v: SplitChernVector, a: int, top: int) -> tuple[list[int], int]:
@@ -216,12 +220,13 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
     and Q^n), and each s_j is one Fraction built from an integer sum.
     """
     _check_int(a, 1, _DEGREE)
-    d = _family_dim(v.ch(1) * a, v.dim)
+    r = v.scalars[0]
+    d = _family_dim(r.numerator * a, r.denominator, v.dim)
     if d <= 0:
         return DescentStep(a, d, None)
     tab = table or shared_table()
     scaled, common = _weighted(v, a, d + 1)
-    scalars = tuple([tab._descended(1, j, scaled, common) for j in range(1, d + 1)])
+    scalars = tuple([Fraction(*tab._descended(1, j, scaled, common)) for j in range(1, d + 1)])
     return DescentStep(a, d, SplitChernVector(scalars))
 
 
@@ -248,15 +253,15 @@ def descend_direct(
         # Curves at this level have anticanonical degree r_1 of the member
         # above.  Each level lowers d by at least one, so no row read here
         # or below needs more than the v.dim weighted scalars.
-        degree = tab._descended(level - 1, 1, scaled, common)
-        d = _family_dim(degree, d, f" at level {level}")
+        num, den = tab._descended(level - 1, 1, scaled, common)
+        d = _family_dim(num, den, d, f" at level {level}")
         if d < 1:
             raise DescentError(
                 f"chain reaches family dimension {d} at level {level}; "
                 f"no dimension-{i} iterate exists"
             )
     return SplitChernVector(
-        tuple([tab._descended(i, j, scaled, common) for j in range(1, d + 1)])
+        tuple([Fraction(*tab._descended(i, j, scaled, common)) for j in range(1, d + 1)])
     )
 
 
@@ -326,8 +331,7 @@ class CatalogueEntry:
 
 def projective_space(n: int) -> CatalogueEntry:
     """P^n with r_k = (n+1)/k!; its chain drops one dimension per step."""
-    if n < 1:
-        raise ValueError(f"projective_space needs n >= 1, got {n}")
+    _check_int(n, 1, "projective_space needs n >= 1")
     scalars = tuple(Fraction(n + 1, factorial(k)) for k in range(1, n + 1))
     labels = tuple(f"P^{d}" for d in range(n, 0, -1)) + ("pt",)
     return CatalogueEntry(
@@ -350,8 +354,7 @@ def quadric(n: int) -> CatalogueEntry:
     dimension-1 member whose minimal rational curve is a conic in the
     inherited polarization, so the final step uses degree 2.
     """
-    if n < 1:
-        raise ValueError(f"quadric needs n >= 1, got {n}")
+    _check_int(n, 1, "quadric needs n >= 1")
     scalars = tuple(Fraction(n + 2 - 2**k, factorial(k)) for k in range(1, n + 1))
     steps = (n + 1) // 2
     degrees = (1,) * (steps - 1) + (2,) if n % 2 else (1,) * steps
@@ -369,6 +372,9 @@ def quadric(n: int) -> CatalogueEntry:
     )
 
 
+_GRASSMANNIAN = "grassmannian needs 0 < k < m"
+
+
 def grassmannian(k: int, m: int) -> CatalogueEntry:
     """G(k, m): chain shape only.
 
@@ -377,8 +383,8 @@ def grassmannian(k: int, m: int) -> CatalogueEntry:
     the resulting invariants min{k, m-k} and max{k, m-k} are catalogued
     as stated shapes.
     """
-    if not 0 < k < m:
-        raise ValueError(f"grassmannian needs 0 < k < m, got ({k}, {m})")
+    _check_int(k, 1, _GRASSMANNIAN, (k, m))
+    _check_int(m, k + 1, _GRASSMANNIAN, (k, m))
     head = (f"G({k},{m})", f"P^{k - 1}xP^{m - k - 1}")
 
     def branch(top: int) -> tuple[str, ...]:

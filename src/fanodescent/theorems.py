@@ -12,6 +12,13 @@ coverings, reported as flags.  The certificate replays the inequality
 chain behind those conclusions level by level, computing every bound
 twice: once through the full coefficient sums and once through the
 simplified closed expressions; the two routes must agree exactly.
+
+Gates and certificates decide in integers.  A degree passes when
+r_k.numerator * k! >= (slope*m + offset(k)) * r_k.denominator, and a
+certificate bound is an unreduced pair (numerator, denominator > 0)
+compared with its closed form and its requirement by cross-multiplying.
+One Fraction is built per reported value, and the Fractions of an
+error message only when it is raised.
 """
 
 from __future__ import annotations
@@ -86,8 +93,12 @@ class _Gate:
     def offset(self, k: int) -> int:
         return self.base - 2**k if self.dyadic else self.base
 
+    def scaled_threshold(self, m: int, k: int) -> int:
+        """k! times the threshold on r_k at level m, an integer."""
+        return self.slope * m + self.offset(k)
+
     def threshold(self, m: int, k: int) -> Fraction:
-        return Fraction(self.slope * m + self.offset(k), factorial(k))
+        return Fraction(self.scaled_threshold(m, k), factorial(k))
 
 
 _THM5_CONCLUSIONS = frozenset(
@@ -118,8 +129,14 @@ def _gate(theorem: str) -> _Gate:
 
 
 def hypothesis_threshold(theorem: str, m: int, k: int) -> Fraction:
-    """The lower bound the gate demands of r_k at level m."""
-    return _gate(theorem).threshold(m, k)
+    """The lower bound the gate demands of r_k at level m.
+
+    m and k must be ints >= 1; k is not bounded by m.
+    """
+    gate = _gate(theorem)
+    _check_int(m, 1, "m must be >= 1")
+    _check_int(k, 1, "k must be >= 1")
+    return gate.threshold(m, k)
 
 
 @dataclass(frozen=True)
@@ -197,8 +214,14 @@ def check_hypotheses(
             "Chern scalar vanishes for k > dim, so a positive threshold "
             "there can never be met"
         )
-    per_k = tuple([MarginRow(k, gate.threshold(m, k), v.ch(k)) for k in range(1, m + 1)])
-    passed = all(row.margin >= 0 for row in per_k)
+    rows, passed, fact = [], True, 1
+    for k, r in enumerate(v.scalars[:m], start=1):
+        fact *= k
+        bound = gate.scaled_threshold(m, k)
+        # r >= bound/k!, cross-multiplied (both denominators are positive).
+        passed = passed and r.numerator * fact >= bound * r.denominator
+        rows.append(MarginRow(k, Fraction(bound, fact), r))
+    per_k = tuple(rows)
     claims = {
         "degree_one_cover": degree_one_cover,
         "all_families_degree_one": all_families_degree_one,
@@ -219,11 +242,16 @@ def max_m(v: SplitChernVector, theorem: str) -> int:
     where that running minimum drops below k.
     """
     gate = _gate(theorem)
-    # The running minimum of slope*cap_k, started at the level bound dim.
-    budget = gate.slope * v.dim
+    # The running minimum of slope*cap_k as num/den (den > 0), started at
+    # the level bound dim; slope*cap_k = (r.numerator*k! -
+    # offset(k)*r.denominator) / r.denominator.
+    num, den, fact = gate.slope * v.dim, 1, 1
     for k, r in enumerate(v.scalars, start=1):
-        budget = min(budget, r * factorial(k) - gate.offset(k))
-        if budget < gate.slope * k:
+        fact *= k
+        cap = r.numerator * fact - gate.offset(k) * r.denominator
+        if cap * den < num * r.denominator:
+            num, den = cap, r.denominator
+        if num < gate.slope * k * den:
             return k - 1
     return v.dim
 
@@ -264,28 +292,37 @@ class Certificate:
 def _certify(
     level: int,
     quantity: str,
-    full: Fraction,
-    closed: Fraction,
+    full: tuple[int, int],
+    closed: tuple[int, int],
     at_actual: bool,
 ) -> Fraction:
+    """The full-route bound N/Q as one Fraction, once it has met the
+    closed form p/q: N*q == p*Q in threshold mode, N*q >= p*Q with
+    ``at_actual`` (Q, q > 0)."""
+    (n, d), (p, q) = full, closed
     if at_actual:
-        if full < closed:
+        if n * q < p * d:
             raise CertificateError(
                 level,
                 quantity,
-                f"actual-input value {full} fell below the threshold-input value {closed}",
+                f"actual-input value {Fraction(n, d)} fell below the "
+                f"threshold-input value {Fraction(p, q)}",
             )
-    elif full != closed:
+    elif n * q != p * d:
         raise CertificateError(
             level,
             quantity,
-            f"coefficient-sum route gives {full}, closed expression gives {closed}",
+            f"coefficient-sum route gives {Fraction(n, d)}, "
+            f"closed expression gives {Fraction(p, q)}",
         )
-    return full
+    return Fraction(n, d)
 
 
-def _require(level: int, quantity: str, value: Fraction, bound: Fraction, strict: bool):
-    ok = value > bound if strict else value >= bound
+def _require(level: int, quantity: str, value: Fraction, bound: int, strict: bool):
+    """Refuse ``value`` unless it is > ``bound`` (``strict``) or >= it; the
+    bound is 0 or 1, so a numerator is compared with 0 or its denominator."""
+    limit = bound * value.denominator
+    ok = value.numerator > limit if strict else value.numerator >= limit
     if not ok:
         rel = ">" if strict else ">="
         raise CertificateError(
@@ -309,6 +346,10 @@ def proof_trace(
     The inputs enter as power sums k! * x_k over one common denominator,
     once per certificate; at the thresholds (slope*m + offset(k))/k!
     these are the integers slope*m + offset(k), over the denominator 1.
+    Each bound and each closed form is an integer pair (numerator,
+    denominator > 0); they are compared with each other and with the
+    requirement by cross-multiplying, and each reported bound is one
+    Fraction, three per level.
     """
     report = check_hypotheses(v, m, theorem)
     if not report.passed:
@@ -319,37 +360,43 @@ def proof_trace(
     tab = table or shared_table()
     # The m inputs as power sums over one common denominator, shared by
     # every level; level i reads at most i + 1 <= m of them.
-    scaled, common = _over_common(
-        [row.actual if at_actual else row.threshold for row in report.per_k]
-    )
+    if at_actual:
+        scaled, common = _over_common(v.scalars[:m])
+    else:
+        scaled = [gate.scaled_threshold(m, k) for k in range(1, m + 1)]
+        common = 1
     total = gate.slope * m + gate.base
 
     levels = []
+    fact = 1  # (i+1)!
     for i in range(1, m):
-        dim_full = tab._descended(i - 1, 1, scaled, common) - 2
+        fact *= i + 1
+        n, d = tab._descended(i - 1, 1, scaled, common)
+        dim_full = (n - 2 * d, d)
         t2_full = tab._descended(i - 1, 2, scaled, common)
         if theorem == THM4:
             # c1 keeps the top descent term aside: it is a positive class
             # on its own, so positivity only needs the remaining sum, which
             # reads the first i inputs (a missing one counts as zero).
             c1_full = tab._descended(i, 1, scaled[:i], common)
-            dim_closed = Fraction(total - i - 1)
-            c1_closed = -i + (1 - Fraction(1, factorial(i + 1))) * total
-            t2_closed = Fraction(total - i + 1, 2)
+            # m - i, -i + (1 - 1/(i+1)!) * (m+1) and (m - i + 2)/2.
+            dim_closed = (total - i - 1, 1)
+            c1_closed = (fact * (total - i) - total, fact)
+            t2_closed = (total - i + 1, 2)
         else:
             c1_full = tab._descended(i, 1, scaled, common)
-            dim_closed = c1_closed = Fraction(total - 2 * i - 2)
-            t2_closed = dim_closed / 2
+            dim_closed = c1_closed = (total - 2 * i - 2, 1)
+            t2_closed = (total - 2 * i - 2, 2)
         t2_asserted = gate.t2_every_level or i + 1 < m
 
         dim_bound = _certify(i, "dim_bound", dim_full, dim_closed, at_actual)
         c1_margin = _certify(i, "c1_margin", c1_full, c1_closed, at_actual)
         t2_bound = _certify(i, "t2ch2_bound", t2_full, t2_closed, at_actual)
 
-        _require(i, "dim_bound", dim_bound, Fraction(0), strict=True)
-        _require(i, "c1_margin", c1_margin, Fraction(0), strict=True)
+        _require(i, "dim_bound", dim_bound, 0, strict=True)
+        _require(i, "c1_margin", c1_margin, 0, strict=True)
         if t2_asserted:
-            _require(i, "t2ch2_bound", t2_bound, Fraction(1), strict=gate.t2_strict)
+            _require(i, "t2ch2_bound", t2_bound, 1, strict=gate.t2_strict)
         levels.append(
             CertificateLevel(i, dim_bound, c1_margin, t2_bound, t2_asserted)
         )

@@ -68,6 +68,13 @@ def test_vector_basics():
         SplitChernVector(())
 
 
+@pytest.mark.parametrize("k", [True, False, 1.0, 2.0, 0, 4])
+def test_ch_refuses_bool_float_and_out_of_range_degrees(k):
+    # ch(True) used to return r_1 and ch(1.0) raised TypeError.
+    with pytest.raises(ValueError, match=re.escape(f"ch_{k!r} not stored for a dimension-3 vector")):
+        vec(4, 2, "2/3").ch(k)
+
+
 @pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
 def test_vector_rejects_float_and_bool_scalars(bad):
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
@@ -429,6 +436,30 @@ def test_catalogue_validation():
         catalogue("projective_space", [2, 3])
     with pytest.raises(ValueError):
         grassmannian(3, 3)
+
+
+@pytest.mark.parametrize(
+    "builder, params, message",
+    [
+        (projective_space, (True,), "projective_space needs n >= 1, got True"),
+        (projective_space, (2.0,), "projective_space needs n >= 1, got 2.0"),
+        (projective_space, (0,), "projective_space needs n >= 1, got 0"),
+        (quadric, (True,), "quadric needs n >= 1, got True"),
+        (quadric, (3.0,), "quadric needs n >= 1, got 3.0"),
+        (quadric, (-1,), "quadric needs n >= 1, got -1"),
+        (grassmannian, (True, 3), "grassmannian needs 0 < k < m, got (True, 3)"),
+        (grassmannian, (2, 5.0), "grassmannian needs 0 < k < m, got (2, 5.0)"),
+        (grassmannian, (2.0, 5), "grassmannian needs 0 < k < m, got (2.0, 5)"),
+        (grassmannian, (0, 5), "grassmannian needs 0 < k < m, got (0, 5)"),
+        (grassmannian, (3, 3), "grassmannian needs 0 < k < m, got (3, 3)"),
+        (grassmannian, (4, 2), "grassmannian needs 0 < k < m, got (4, 2)"),
+    ],
+)
+def test_catalogue_builders_refuse_bool_float_and_small_parameters(builder, params, message):
+    # Bools used to pass (P^True), floats raised TypeError; int messages are unchanged.
+    with pytest.raises(ValueError) as excinfo:
+        builder(*params)
+    assert str(excinfo.value) == message
 
 
 # --- the integer-row kernel against the per-term Fraction sum ------------------

@@ -11,17 +11,32 @@ import pytest
 from conftest import run_cli
 
 from fanodescent.descent import projective_space
+from fanodescent.theorems import proof_trace_thm4
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "scaling.py"
 
 
-def _run(out: Path, label: str) -> subprocess.CompletedProcess:
+SRC = SCRIPT.parent.parent / "src"
+
+
+def _run(out: Path, label: str, *extra: str, repeats: int = 1) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(SCRIPT), "--out", str(out), "--label", label,
-         "--repeats", "1", "--verify", "3", "--check", "5", "--chain", "4", "--direct", "6"],
+         "--repeats", str(repeats), "--verify", "3", "--check", "5", "--chain", "4",
+         "--direct", "6", "--certify", "1", *extra],
         capture_output=True,
         text=True,
     )
+
+
+def _certificates_text() -> str:
+    """What the certificate case prints: the certificates of P^m at m, m = 2..24."""
+    lines = []
+    for m in range(2, 25):
+        cert = proof_trace_thm4(projective_space(m).vector, m)
+        bounds = [f"{lv.dim_bound} {lv.c1_margin} {lv.t2ch2_bound}" for lv in cert.per_level]
+        lines.append(" ".join([str(m), *bounds]) + "\n")
+    return "".join(lines)
 
 
 def test_scaling_record_smoke(tmp_path):
@@ -39,6 +54,7 @@ def test_scaling_record_smoke(tmp_path):
         "check projective_space m=5 thm4",
         "chain projective_space n=4",
         "descend_direct projective_space n=6 i=2",
+        "proof_trace_thm4 P^m m=2..24 passes=1",
     ]
     for case in run["cases"]:
         assert case["exit_codes"] == [0]
@@ -46,7 +62,7 @@ def test_scaling_record_smoke(tmp_path):
         assert len(case["wall_s"]) == 1 and case["median_s"] > 0
     # The hash is of the report the CLI prints for the same argv, and of
     # the scalars of P^4, the second iterate of P^6.
-    *cli_cases, direct = run["cases"]
+    *cli_cases, direct, certify = run["cases"]
     for case in cli_cases:
         assert case["argv"][:2] == ["-m", "fanodescent"]
         code, stdout, _ = run_cli(case["argv"][2:])
@@ -55,11 +71,40 @@ def test_scaling_record_smoke(tmp_path):
     assert direct["argv"][-2:] == ["6", "2"]
     p4 = " ".join(str(x) for x in projective_space(4).vector.scalars) + "\n"
     assert direct["report_sha256"] == hashlib.sha256(p4.encode()).hexdigest()
+    assert certify["argv"][-1] == "1"
+    assert certify["report_sha256"] == hashlib.sha256(_certificates_text().encode()).hexdigest()
     # The second label is added beside the first, whose record is kept.
     first = record["runs"]["first"]["cases"]
     assert [(c["name"], c["report_sha256"]) for c in first] == [
         (c["name"], c["report_sha256"]) for c in run["cases"]
     ]
+
+
+def test_scaling_parent_src_alternates_in_one_record(tmp_path):
+    # The same source on both sides: both labels are written by one
+    # invocation, every case ran on each side, and the outputs agree.
+    out = tmp_path / "bench.json"
+    proc = _run(out, "change", "--parent-src", str(SRC), repeats=2)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted(runs) == ["change", "parent"]
+    change, parent = runs["change"]["cases"], runs["parent"]["cases"]
+    assert [c["name"] for c in change] == [c["name"] for c in parent]
+    assert len(change) == 5
+    for mine, theirs in zip(change, parent):
+        assert mine["argv"] == theirs["argv"]
+        assert mine["exit_codes"] == theirs["exit_codes"] == [0, 0]
+        assert mine["reports_identical"] and theirs["reports_identical"]
+        assert mine["report_sha256"] == theirs["report_sha256"]
+    assert runs["change"]["alternated"] and runs["parent"]["alternated"]
+
+
+def test_scaling_parent_label_is_reserved_with_parent_src(tmp_path):
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as excinfo:
+        _script().main(["--out", str(out), "--label", "parent", "--parent-src", str(SRC)])
+    assert excinfo.value.code == 2
+    assert not out.exists()
 
 
 def _script():
@@ -69,7 +114,9 @@ def _script():
     return module
 
 
-@pytest.mark.parametrize("flag", ["--verify", "--check", "--chain", "--direct", "--repeats"])
+@pytest.mark.parametrize(
+    "flag", ["--verify", "--check", "--chain", "--direct", "--certify", "--repeats"]
+)
 @pytest.mark.parametrize(
     "token", ["0", "-1", "+3", "", ",", "3,", ",3", "3,,4", "1_0", "3,1_0", " 3", "3.0", "\u0663"]
 )

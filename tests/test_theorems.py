@@ -10,6 +10,8 @@ from fanodescent.coeffs import CoeffTable
 from fanodescent.descent import SplitChernVector, projective_space, quadric
 from fanodescent.exact import bernoulli_table
 from fanodescent.theorems import (
+    _GATES,
+    _require,
     COVERED_BY_PROJECTIVE_M,
     COVERED_BY_PROJECTIVE_M_MINUS_1,
     COVERED_BY_RATIONAL_M_FOLDS,
@@ -38,6 +40,28 @@ def test_thresholds():
     assert hypothesis_threshold(THM5_STRONG, 4, 1) == 8
     with pytest.raises(ValueError):
         hypothesis_threshold("thm6", 2, 1)
+    # k is not bounded by m.
+    assert hypothesis_threshold(THM4, 2, 5) == Fraction(3, 120)
+
+
+@pytest.mark.parametrize(
+    "m, k, message",
+    [
+        (3, 0, "k must be >= 1, got 0"),
+        (3, -1, "k must be >= 1, got -1"),
+        (3, True, "k must be >= 1, got True"),
+        (3, 1.0, "k must be >= 1, got 1.0"),
+        (0, 1, "m must be >= 1, got 0"),
+        (-3, 1, "m must be >= 1, got -3"),
+        (True, 1, "m must be >= 1, got True"),
+        (3.0, 1, "m must be >= 1, got 3.0"),
+    ],
+)
+def test_thresholds_refuse_bad_levels_and_degrees(m, k, message):
+    # (thm4, 3, 0) returned 4, (thm4, -3, 1) -2 and (thm4, True, 1) 2; a float m raised TypeError.
+    with pytest.raises(ValueError) as excinfo:
+        hypothesis_threshold(THM4, m, k)
+    assert str(excinfo.value) == message
 
 
 # --- thm4 ---------------------------------------------------------------------
@@ -194,6 +218,21 @@ def test_unknown_gate_is_rejected_everywhere():
             call()
 
 
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_pass_decision_equals_every_margin_non_negative(theorem):
+    # The gate decides in integers; the margins are Fractions.  Ties at
+    # exactly the threshold pass, and the sample must contain some.
+    outcomes, ties = set(), 0
+    for v in random_gate_vectors(theorem, 400, seed=29):
+        for m in range(1, v.dim + 1):
+            report = check_hypotheses(v, m, theorem)
+            assert report.passed == all(row.margin >= 0 for row in report.per_k)
+            outcomes.add(report.passed)
+            ties += report.passed and any(row.margin == 0 for row in report.per_k)
+    assert outcomes == {True, False}
+    assert ties > 0
+
+
 def test_monotonicity_in_m():
     rng = random.Random(3)
     for _ in range(40):
@@ -306,6 +345,84 @@ def test_trace_detects_corrupted_table():
         proof_trace_thm4(projective_space(5).vector, 5, table=bad)
     assert excinfo.value.level >= 1
     assert excinfo.value.quantity in {"dim_bound", "c1_margin", "t2ch2_bound"}
+
+
+class _StubTable:
+    """A coefficient table whose kernel returns chosen (numerator,
+    denominator) pairs at some (i, j) and the true pairs elsewhere."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+        self.table = CoeffTable()
+
+    def _descended(self, i, j, scaled, common, shifted=True):
+        if (i, j) in self.pairs:
+            return self.pairs[i, j]
+        return self.table._descended(i, j, scaled, common, shifted)
+
+
+# P^3 at thm4, m = 3 (total 4).  Level 1 reads dim from (0, 1), t2 from
+# (0, 2) and c1 from (1, 1); level 2 reads (1, 1), (1, 2) and (2, 1).
+# The closed forms: dim 2 and 1, c1 3/2 and 4/3, t2 2 and 3/2.
+@pytest.mark.parametrize(
+    "pairs, at_actual, message",
+    [
+        # dim = N/Q - 2 = 18/4 - 2 = 5/2 against 2; the pair is not reduced.
+        ({(0, 1): (18, 4)}, False,
+         "level 1, dim_bound: coefficient-sum route gives 5/2, closed expression gives 2"),
+        ({(2, 1): (10, 6)}, False,
+         "level 2, c1_margin: coefficient-sum route gives 5/3, closed expression gives 4/3"),
+        ({(0, 2): (-6, 4)}, False,
+         "level 1, t2ch2_bound: coefficient-sum route gives -3/2, closed expression gives 2"),
+        # (1, 1) is level 1's c1 (7/2 >= 3/2) and level 2's dim
+        # (7/2 - 2 = 3/2 >= 1); both pass, and level 2's t2, 1, falls below 3/2.
+        ({(1, 1): (7, 2), (1, 2): (2, 2)}, True,
+         "level 2, t2ch2_bound: actual-input value 1 fell below the threshold-input value 3/2"),
+        ({(2, 1): (-2, 6)}, True,
+         "level 2, c1_margin: actual-input value -1/3 fell below the threshold-input value 4/3"),
+    ],
+)
+def test_trace_certificate_error_texts(pairs, at_actual, message):
+    table = _StubTable(pairs)
+    with pytest.raises(CertificateError) as excinfo:
+        proof_trace_thm4(projective_space(3).vector, 3, table=table, at_actual=at_actual)
+    assert str(excinfo.value) == message
+
+
+def test_trace_ties_in_actual_mode_pass_and_report_reduced_bounds():
+    # An unreduced pair equal to the closed form meets it with equality.
+    table = _StubTable({(1, 2): (6, 4), (2, 1): (16, 12)})
+    cert = proof_trace_thm4(projective_space(3).vector, 3, table=table, at_actual=True)
+    assert cert.per_level[1].t2ch2_bound == Fraction(3, 2)
+    assert cert.per_level[1].c1_margin == Fraction(4, 3)
+
+
+@pytest.mark.parametrize(
+    "quantity, value, bound, strict, message",
+    [
+        ("dim_bound", Fraction(0), 0, True, "bound 0 fails the requirement > 0"),
+        ("c1_margin", Fraction(-1, 2), 0, True, "bound -1/2 fails the requirement > 0"),
+        ("t2ch2_bound", Fraction(1), 1, True, "bound 1 fails the requirement > 1"),
+        ("t2ch2_bound", Fraction(2, 3), 1, False, "bound 2/3 fails the requirement >= 1"),
+    ],
+)
+def test_requirement_error_texts(quantity, value, bound, strict, message):
+    with pytest.raises(CertificateError) as excinfo:
+        _require(3, quantity, value, bound, strict)
+    assert str(excinfo.value) == f"level 3, {quantity}: {message}"
+
+
+@pytest.mark.parametrize("theorem, accepted", [(THM4, False), (THM5, False), (THM5_STRONG, True)])
+def test_t2_bound_exactly_one(theorem, accepted):
+    # No closed t2 form of thm4 or thm5 reaches 1 at an asserted level, so
+    # the strict refusal is checked on the requirement itself.
+    strict = _GATES[theorem].t2_strict
+    _require(2, "t2ch2_bound", Fraction(11, 10), 1, strict)
+    if accepted:
+        _require(2, "t2ch2_bound", Fraction(1), 1, strict)
+    else:
+        with pytest.raises(CertificateError, match="bound 1 fails the requirement > 1"):
+            _require(2, "t2ch2_bound", Fraction(1), 1, strict)
 
 
 def test_trace_m_equals_one_is_trivially_positive():

@@ -1,20 +1,26 @@
 """Cold wall times of large runs, written to a BENCH_*.json record.
 
 Each case runs in fresh processes against the package under ``--src``:
-a CLI case runs ``python -m fanodescent ... --json``, and a direct-descent
+a CLI case runs ``python -m fanodescent ... --json``, a direct-descent
 case runs ``descend_direct(P^n, n // 3)`` on a cold table through
-``python -c`` and prints the descended scalars.  The record holds the
-wall time of every process, their median and the sha256 of the output.
-The hash shows whether two sources give byte-identical output; a case
-whose runs disagree, or that exits non-zero, makes the script exit 1.
+``python -c`` and prints the descended scalars, and a certificate case
+runs ``proof_trace_thm4(P^m, m)`` on a fresh table for m = 2..24, the
+given number of passes, in one process, and prints the last pass's
+certificates.  The record holds the wall time of every process, their
+median and the sha256 of the output.  The hash shows whether two sources
+give byte-identical output; a case whose runs disagree, or that exits
+non-zero, makes the script exit 1.
 
 Usage (standard library only):
 
+    python tools/scaling.py --out BENCH_N.json --label change --parent-src OTHER/src
     python tools/scaling.py --out BENCH_N.json --label change
-    python tools/scaling.py --out BENCH_N.json --label parent --src OTHER/src
 
-Runs are keyed by ``--label``; other labels already in the file are kept,
-so one file can hold the parent and the change measured on one machine.
+With ``--parent-src``, every repeat of every case runs both sources, the
+order swapped on each repeat, and the runs are stored under ``parent``
+and under ``--label`` in one record, so machine drift over the
+invocation falls on both sides alike.  Runs are keyed by label; other
+labels already in the file are kept.
 """
 
 from __future__ import annotations
@@ -63,12 +69,27 @@ _DIRECT = (
     "print(*descend_direct(projective_space(n).vector, i, 1).scalars)\n"
 )
 
+# The certificate case: argv[1] is the number of passes over m = 2..24,
+# each certificate on a fresh table, as a cold `check --m` process has.
+# Certificates this small cost less than interpreter start-up, so one
+# process runs many of them.
+_CERTIFY = (
+    "import sys\n"
+    "from fanodescent import CoeffTable, proof_trace_thm4, projective_space\n"
+    "vectors = [(m, projective_space(m).vector) for m in range(2, 25)]\n"
+    "for _ in range(int(sys.argv[1])):\n"
+    "    certs = [proof_trace_thm4(v, m, table=CoeffTable()) for m, v in vectors]\n"
+    "for cert in certs:\n"
+    "    print(cert.m, *[f'{lv.dim_bound} {lv.c1_margin} {lv.t2ch2_bound}' for lv in cert.per_level])\n"
+)
+
 
 def cases(
     verify_sizes: list[int],
     check_sizes: list[int],
     chain_sizes: list[int],
     direct_sizes: list[int] = (),
+    certify_passes: list[int] = (),
 ) -> list[tuple[str, list[str]]]:
     """(name, interpreter arguments) for every requested size, in the order they run."""
     cli = ["-m", "fanodescent"]
@@ -85,6 +106,8 @@ def cases(
     for n in direct_sizes:
         i = max(n // 3, 1)
         out.append((f"descend_direct projective_space n={n} i={i}", ["-c", _DIRECT, str(n), str(i)]))
+    for passes in certify_passes:
+        out.append((f"proof_trace_thm4 P^m m=2..24 passes={passes}", ["-c", _CERTIFY, str(passes)]))
     return out
 
 
@@ -109,18 +132,27 @@ def machine() -> dict:
     }
 
 
-def measure(src: Path, argv: list[str], repeats: int) -> dict:
-    """Run one case ``repeats`` times, each in a fresh interpreter given ``argv``."""
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
-    walls, codes, digests = [], [], []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, *argv], env=env, capture_output=True
-        )
-        walls.append(time.perf_counter() - start)
-        codes.append(proc.returncode)
-        digests.append(hashlib.sha256(proc.stdout).hexdigest())
+def measure(sources: dict[str, Path], argv: list[str], repeats: int) -> dict[str, dict]:
+    """Run one case ``repeats`` times per source, each in a fresh interpreter given ``argv``.
+
+    Each repeat runs every source once, in the given order on even
+    repeats and reversed on odd ones.  Returns one summary per label.
+    """
+    runs = {label: ([], [], []) for label in sources}
+    order = list(sources.items())
+    for repeat in range(repeats):
+        for label, src in order if repeat % 2 == 0 else order[::-1]:
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+            start = time.perf_counter()
+            proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
+            walls, codes, digests = runs[label]
+            walls.append(time.perf_counter() - start)
+            codes.append(proc.returncode)
+            digests.append(hashlib.sha256(proc.stdout).hexdigest())
+    return {label: _summary(argv, *run) for label, run in runs.items()}
+
+
+def _summary(argv: list[str], walls: list[float], codes: list[int], digests: list[str]) -> dict:
     return {
         "argv": argv,
         "exit_codes": codes,
@@ -146,24 +178,38 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated n for chain projective_space n")
     parser.add_argument("--direct", type=_sizes, default=[60],
                         help="comma-separated n for descend_direct(P^n, n // 3) on a cold table")
+    parser.add_argument("--certify", type=_sizes, default=[200],
+                        help="comma-separated pass counts for proof_trace_thm4(P^m, m), m = 2..24")
+    parser.add_argument("--parent-src", type=Path,
+                        help="also run the package under this directory, stored as 'parent', "
+                             "alternating with --src on every repeat")
     args = parser.parse_args(argv)
+    sources = {args.label: args.src.resolve()}
+    if args.parent_src is not None:
+        if args.label == "parent":
+            parser.error("--label must not be 'parent' when --parent-src is given")
+        sources["parent"] = args.parent_src.resolve()
 
-    results, ok = [], True
-    for name, case_argv in cases(args.verify, args.check, args.chain, args.direct):
-        result = {"name": name, **measure(args.src.resolve(), case_argv, args.repeats)}
-        results.append(result)
-        clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
-        ok = ok and clean
-        print(f"{name}: median {result['median_s']} s"
-              + ("" if clean else f", exit codes {result['exit_codes']}, reports differ or fail"),
-              file=sys.stderr)
+    results = {label: [] for label in sources}
+    ok = True
+    for name, case_argv in cases(args.verify, args.check, args.chain, args.direct, args.certify):
+        for label, summary in measure(sources, case_argv, args.repeats).items():
+            result = {"name": name, **summary}
+            results[label].append(result)
+            clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
+            ok = ok and clean
+            print(f"{name} [{label}]: median {result['median_s']} s"
+                  + ("" if clean else f", exit codes {result['exit_codes']}, reports differ or fail"),
+                  file=sys.stderr)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("runs", {})[args.label] = {
-        "machine": machine(),
-        "repeats": args.repeats,
-        "cases": results,
-    }
+    for label, cases_run in results.items():
+        record.setdefault("runs", {})[label] = {
+            "machine": machine(),
+            "repeats": args.repeats,
+            "alternated": len(sources) > 1,
+            "cases": cases_run,
+        }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if ok else 1
 
