@@ -20,13 +20,15 @@ k! * x_k.  For a manifold whose Chern roots are integers, k! * r_k is the
 k-th Newton power sum of the roots, an integer (n + 1 for P^n,
 n + 2 - 2^k for Q^n), so the rows are summed against small integers.
 One rule picks a table's route: a table built with no Bernoulli prefix
-fills every column in closed form by iterated summation, and a table
-built with a prefix fills every column by the Toeplitz recursion.  The
-closed form holds only for the true Bernoulli numbers, and it never
-computes one.  ``verify`` builds its table with the prefix [1], so that
-the generating polynomials stay a second route there; a prefix that
-agrees with the true Bernoulli numbers reads the weights that are
-computed once per process.
+computes each row it is asked for in closed form by iterated summation,
+and a table built with a prefix fills every column by the Toeplitz
+recursion.  The closed form holds only for the true Bernoulli numbers,
+and it never computes one.  ``verify`` builds its table with the prefix
+[1], so that the generating polynomials stay a second route there.  What
+no single table owns is computed once per process and kept for its
+life: the Bernoulli weights that a prefix agreeing with the true numbers
+reads, and the closed route's inputs (the rising products (t+1)...(t+d)
+and the surjection numbers S2(j, l) * l!).
 
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
@@ -168,8 +170,42 @@ class _Weights:
 _HONEST = _Weights([Fraction(1)])
 
 
+def _surjection_rows() -> Iterator[list[int]]:
+    """S2(j, l) * l!, l = 0..j, the surjections of a j-set onto an l-set, for j = 0, 1, ...
+
+    Each row comes from the one before by F(j, l) = l * (F(j-1, l-1) +
+    F(j-1, l)), so reaching row j costs O(j^2) small-integer operations
+    once.
+    """
+    row = [1]
+    while True:
+        yield row
+        row = list(map(mul, count(), map(add, [0, *row], [*row, 0])))
+
+
+# The closed route's inputs, shared by every honest table, the identity pass
+# and generating_polynomial, and kept for the life of the process:
+# _RISING[d] holds the coefficients of (t+1)...(t+d), t^0 first, and
+# _SURJECTIONS[j] holds S2(j, l) * l! for l = 0..j.  Each list grows only
+# under the lock, by the next steps of its one running recurrence, and only
+# by appending, so a reader may use any entry it sees.
+_RISING: list[list[int]] = []
+_SURJECTIONS: list[list[int]] = []
+_RISING_STEPS = (e[::-1] for e in _symmetric_expansions(count(1)))
+_SURJECTION_STEPS = _surjection_rows()
+_CLOSED_LOCK = threading.Lock()
+
+
+def _grow_closed(depth: int, j: int) -> None:
+    """Make _RISING[0..depth] and _SURJECTIONS[0..j] available."""
+    if len(_RISING) <= depth or len(_SURJECTIONS) <= j:
+        with _CLOSED_LOCK:
+            _RISING.extend(islice(_RISING_STEPS, max(0, depth + 1 - len(_RISING))))
+            _SURJECTIONS.extend(islice(_SURJECTION_STEPS, max(0, j + 1 - len(_SURJECTIONS))))
+
+
 class CoeffTable:
-    """Table of descent coefficients, filled level by level in integer columns.
+    """Table of descent coefficients, held in integer columns, one per degree j.
 
     ``coefficient(i, j, k)`` is the weight of the degree-k Chern scalar
     of the starting manifold inside the degree-j Chern scalar of its
@@ -179,27 +215,31 @@ class CoeffTable:
 
     The table stores rows in the power-sum basis: row (i, j) holds
     ``c^(i, j, k) = c(i, j, k) * j!/k!`` for k = 1..i+j, the weight of
-    k! * x_k inside j! * y_j.  It keeps one column of rows per j, from
-    the unit row at depth 0 down; a read that misses at (i, j) extends
-    column j only, from its deepest row to depth i, and the other
-    columns are not touched.  No step recurses, so depth is bounded by
-    memory, not by the stack.  Whether a Bernoulli prefix was given
-    picks the route, for every column alike:
+    k! * x_k inside j! * y_j.  It keeps one column of rows per j, a list
+    indexed by depth that starts with the unit row at depth 0; a read
+    that misses at (i, j) touches column j only.  No step recurses, so
+    depth is bounded by memory, not by the stack.  Whether a Bernoulli
+    prefix was given picks the route, for every column alike:
 
     * Closed (no prefix: an honest table).  Row (d, j) is the list of
       t^k coefficients of S^d(t^j), where S f(t) = sum_{x=1}^{t} f(x):
       t(t+1)...(t+d) times a degree j - 1 polynomial G over (d+j)!, with
       G built from the surjection numbers S2(j, l) * l! (see
-      ``_generating_numerators``).  The expansion e_0..e_d of 1..d and
-      the surjection numbers of every j reached are kept per table,
-      each grown by one step of its recurrence, so a row costs O(j^2)
-      small operations for G and O(min(d, j) * (d + j)) big-integer
-      operations for the product; for j = 1, 2, G is 1 and 2t + d, and
-      a row costs O(d).  No Bernoulli number is computed.
+      ``_generating_numerators``).  No earlier row enters, so a miss
+      computes row (d, j) alone into its slot, and the column holds
+      None at the depths nobody read.  The rising products (t+1)...(t+d)
+      and the surjection numbers are shared by every honest table in the
+      process, each grown by one step of its recurrence, so a cold row
+      costs O(j^2) small operations for G and O(min(d, j) * (d + j))
+      big-integer operations for the product; for j = 1, 2, G is 1 and
+      2t + d, and a row costs O(d).  A cold read of one row at depth d
+      thus costs one row, not the d rows above it.  No Bernoulli number
+      is computed.
     * Toeplitz (a prefix was given: the corruption hook's override, or
       the prefix [1] of ``verify``, so that its generating polynomial
       check confronts two routes).  Depth i is depth i - 1 followed by
-      one more step, the Toeplitz matrix of the weights
+      one more step, so a miss extends column j from its deepest row to
+      depth i; the step is the Toeplitz matrix of the weights
       ``b_m = (-1)^m B_m / m!``:
       ``c(i, j, k) = sum_l c(i-1, j, l) * b_{l+1-k}``.  The previous row
       is scaled by l!/j! into the c basis, the step is taken there, and
@@ -230,37 +270,32 @@ class CoeffTable:
     repeated reads return the same objects.
 
     The true Bernoulli numbers and their weights are computed once per
-    process, in a shared store.  A table whose prefix agrees with the
-    true Bernoulli numbers reads it, and so does ``bernoulli_number`` of
-    a table without a prefix; a table with an overridden prefix keeps
-    private ones, extended lazily and consistently from the override,
-    and never writes into the shared store.  Entries never change once
+    process, in a shared store, and so are the closed route's inputs.  A
+    table whose prefix agrees with the true Bernoulli numbers reads it,
+    and so does ``bernoulli_number`` of a table without a prefix; a
+    table with an overridden prefix keeps private ones, extended lazily
+    and consistently from the override, and never writes into the shared
+    store.  Entries never change once
     computed, so threads may share a table for reads of rows that
     already exist; growing a column of one table is not thread-safe.
     Tables in different threads may grow their columns at once: the
-    shared store grows under a lock.
+    shared stores grow under locks.
     """
 
     def __init__(self, bernoulli: Sequence[Fraction] | None = None):
         self._weights = _HONEST
-        # The coefficients of (t+1)...(t+d), t^0 first, at every depth d
-        # reached so far, and S2(j, l) * l! for every j reached so far, each
-        # taken from one running recurrence; _shifted is None when a prefix
-        # was given (the Toeplitz route).
-        self._shifted: list[list[int]] | None = None
-        if bernoulli is None:
-            self._shifted, self._surjections = [], []
-            self._expansions = _symmetric_expansions(count(1))
-            self._surjection_rows = _surjection_rows()
-        else:
+        # No prefix: the closed route; a prefix: the Toeplitz route.
+        self._closed = bernoulli is None
+        if not self._closed:
             prefix = [as_rational(b) for b in bernoulli]
             if not prefix or prefix[0] != 1:
                 raise ValueError("B_0 must be 1")
             # A prefix that agrees with the true Bernoulli numbers reads the shared store.
             if prefix != extend_bernoulli([Fraction(1)], len(prefix) - 1):
                 self._weights = _Weights(prefix)
-        # Per j, the rows (0, j), (1, j), ... as (numerators, common denominator).
-        self._columns: dict[int, list[tuple[list[int], int]]] = {}
+        # Per j, the rows (0, j), (1, j), ... as (numerators, common denominator);
+        # a closed column holds None at the depths not read yet.
+        self._columns: dict[int, list[tuple[list[int], int] | None]] = {}
         # Per (i, j), the row as Fractions, built on its first coefficient read.
         self._fractions: dict[tuple[int, int], list[Fraction]] = {}
 
@@ -316,23 +351,17 @@ class CoeffTable:
         return total, factorial(j) * den
 
     def _row(self, i: int, j: int) -> tuple[list[int], int]:
-        """Row (i, j) in integers, extending column j to depth i first."""
+        """Row (i, j) in integers, computed on its first read."""
         column = self._columns.get(j)
         if column is None:
             column = self._columns[j] = [([0] * (j - 1) + [1], 1)]
-        if len(column) > i:
-            return column[i]
-        shifted = self._shifted
-        if shifted is not None:
-            # No prefix was given: iterated summation.
-            surjections = self._surjections
-            while len(surjections) <= j:
-                surjections.append(next(self._surjection_rows))
-            while len(shifted) <= i:
-                shifted.append(next(self._expansions)[::-1])
-            for depth in range(len(column), i + 1):
-                column.append(_generating_numerators(shifted[depth], depth, surjections[j]))
-            return column[i]
+        if len(column) > i and (row := column[i]) is not None:
+            return row
+        if self._closed:
+            # Iterated summation needs no earlier row of the column.
+            column += [None] * (i + 1 - len(column))
+            row = column[i] = _generating_numerators(i, j)
+            return row
         weights = self._weights
         weights.grow(i + j)
         pairs, lcms, facts = weights.pairs, weights.lcms, weights.factorials
@@ -368,19 +397,6 @@ def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:
         if g == 1:
             return nums, den
     return [a // g for a in nums], den // g
-
-
-def _surjection_rows() -> Iterator[list[int]]:
-    """S2(j, l) * l!, l = 0..j, the surjections of a j-set onto an l-set, for j = 0, 1, ...
-
-    Each row comes from the one before by F(j, l) = l * (F(j-1, l-1) +
-    F(j-1, l)), so reaching row j costs O(j^2) small-integer operations
-    once.
-    """
-    row = [1]
-    while True:
-        yield row
-        row = list(map(mul, count(), map(add, [0, *row], [*row, 0])))
 
 
 _INDICES = "coefficient indices require i >= 0 and j >= 1"
@@ -530,9 +546,7 @@ def ch2_coefficient_closed(i: int, k: int) -> Fraction:
     return Fraction(nums[k - 1], den)
 
 
-def _generating_numerators(
-    shifted: list[int], i: int, surjections: list[int]
-) -> tuple[list[int], int]:
+def _generating_numerators(i: int, j: int) -> tuple[list[int], int]:
     """S^i(t^j), from t^1, as reduced integer numerators over one denominator.
 
     This is row (i, j) of an honest table, the closed route; it holds
@@ -545,14 +559,17 @@ def _generating_numerators(
         S^i(t^j) = t(t+1)...(t+i) * G(t) / (i+j)!,
         G(t) = sum_{l=1}^{j} S2(j, l) l! (i+j)!/(i+l)! (t-1)(t-2)...(t-l+1).
 
-    ``shifted`` holds the coefficients of (t+1)...(t+i), t^0 first, that
-    is e_i, ..., e_0 of 1, ..., i, and ``surjections`` is S2(j, l) * l!
-    for l = 0..j.  G is expanded by Horner in the Newton basis, O(j^2)
+    The two inputs are read from the shared store, grown first if
+    needed: ``_RISING[i]``, the coefficients of (t+1)...(t+i), t^0 first,
+    that is e_i, ..., e_0 of 1, ..., i, and ``_SURJECTIONS[j]``, S2(j, l) *
+    l! for l = 0..j.  G is expanded by Horner in the Newton basis, O(j^2)
     operations; it is 1 for j = 1 and 2t + i for j = 2.  The product
     runs Horner over the shorter factor, O(min(i, j) * (i + j))
-    operations, so a row of j = 1, 2 costs O(i).
+    operations, so a row of j = 1, 2 costs O(i).  No earlier row is
+    needed.
     """
-    j = len(surjections) - 1
+    _grow_closed(i, j)
+    shifted, surjections = _RISING[i], _SURJECTIONS[j]
     g, scale = [surjections[j]], 1
     for l in range(j - 1, 0, -1):
         # scale = (i+j)!/(i+l)!; g <- g * (t - l) + S2(j, l) l! * scale.
@@ -586,9 +603,7 @@ def generating_polynomial(i: int, j: int) -> Polynomial:
     _check_int(j, 1, rule)
     if j > 2:
         raise ValueError(f"{rule}, got {j}")
-    *_, rising = _symmetric_expansions(range(1, i + 1))
-    *_, surjections = islice(_surjection_rows(), j + 1)
-    nums, den = _generating_numerators(rising[::-1], i, surjections)
+    nums, den = _generating_numerators(i, j)
     den *= factorial(j)
     return Polynomial([0, *(Fraction(n, den) for n in nums)])
 
@@ -657,15 +672,14 @@ class _IdentityPass:
     """What every depth of one identity run shares, built once up to n = top.
 
     Holds the factorials through top, the composition rows n! * S(k, n)
-    for n <= top, the integer expansions ``shifted[m]`` = e_m, ..., e_0 of
-    1, ..., m for m < top, the coefficients of (t+1)...(t+m) (one product
-    recurrence, one factor per m), and
-    the outcome of the composition/symmetric identity
+    for n <= top, and the outcome of the composition/symmetric identity
     n! * S(k, n) == k! * e_{n-k}(1, ..., n-1) at every 1 <= k <= n <= top,
-    each (k, n) compared once.  ``report(i)`` for i <= top - 2 and
-    ``symmetric_check(n)`` for n <= top only read them and the table's
-    integer rows, so a run over all depths is O(top^3) exact operations
-    besides the coefficient table.  Every route is an integer row
+    each (k, n) compared once.  The values e_{n-k}(1, ..., n-1) are the
+    coefficients of (t+1)...(t+n-1), read from the process-wide store
+    ``_RISING`` that the generating polynomials also read.  ``report(i)``
+    for i <= top - 2 and ``symmetric_check(n)`` for n <= top only read
+    them and the table's integer rows, so a run over all depths is
+    O(top^3) exact operations besides the coefficient table.  Every route is an integer row
     (numerators, denominator) and every comparison goes through
     ``_compare``, so a Fraction is built only inside a discrepancy.
     """
@@ -673,14 +687,13 @@ class _IdentityPass:
     def __init__(self, top: int):
         self.factorials = list(accumulate(range(1, top + 1), mul, initial=1))
         self.rows = _composition_rows(top)
-        self.shifted = [e[::-1] for e in _symmetric_expansions(range(1, top))]
-        self.surjections = list(islice(_surjection_rows(), 3))
+        _grow_closed(top - 1, 0)
         self._symmetric: list[Discrepancy] = []
         # _symmetric_upto[n]: the number of discrepancies at sizes <= n.
         self._symmetric_upto = [0]
         facts = self.factorials
         for n in range(1, top + 1):
-            symmetric = list(map(mul, islice(facts, 1, None), self.shifted[n - 1]))
+            symmetric = list(map(mul, islice(facts, 1, None), _RISING[n - 1]))
             where = f"(k,n)=({{}},{n})"
             check = _compare(_SYMMETRIC, where, (symmetric, facts[n]), (self.rows[n][1:], facts[n]))
             self._symmetric += check.discrepancies
@@ -710,7 +723,7 @@ class _IdentityPass:
         for j in (1, 2):
             # The t^k coefficient of the generating polynomial S^i(t^j)/j!
             # against c(i, j, k)/k! = c^(i, j, k)/j!, for k = 1..i+j.
-            product, den = _generating_numerators(self.shifted[i], i, self.surjections[j])
+            product, den = _generating_numerators(i, j)
             name = f"generating_polynomial_ch{j}"
             checks.append(_compare(name, at_k[j], (product, den * facts[j]), series[j]))
         for j in (1, 2):

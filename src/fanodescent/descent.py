@@ -403,14 +403,13 @@ def grassmannian(k: int, m: int) -> CatalogueEntry:
     )
 
 
-CATALOGUE_NAMES = ("projective_space", "quadric", "grassmannian")
-
-_ARITY = {"projective_space": 1, "quadric": 1, "grassmannian": 2}
+# Each family's builder and the number of integer parameters it takes.
 _BUILDERS = {
-    "projective_space": projective_space,
-    "quadric": quadric,
-    "grassmannian": grassmannian,
+    "projective_space": (projective_space, 1),
+    "quadric": (quadric, 1),
+    "grassmannian": (grassmannian, 2),
 }
+CATALOGUE_NAMES = tuple(_BUILDERS)
 
 
 def catalogue(name: str, params: tuple[int, ...] | list[int]) -> CatalogueEntry:
@@ -419,9 +418,8 @@ def catalogue(name: str, params: tuple[int, ...] | list[int]) -> CatalogueEntry:
         raise ValueError(
             f"unknown manifold family {name!r}; choose from {', '.join(CATALOGUE_NAMES)}"
         )
+    builder, arity = _BUILDERS[name]
     params = tuple(params)
-    if len(params) != _ARITY[name]:
-        raise ValueError(
-            f"{name} takes {_ARITY[name]} integer parameter(s), got {len(params)}"
-        )
-    return _BUILDERS[name](*params)
+    if len(params) != arity:
+        raise ValueError(f"{name} takes {arity} integer parameter(s), got {len(params)}")
+    return builder(*params)

@@ -194,6 +194,23 @@ def check_thm5(
     )
 
 
+def _checked_gate(v: SplitChernVector, m: int, theorem: str) -> _Gate:
+    """The named gate, once m is an int in [1, v.dim].
+
+    Every refusal that ``check_hypotheses`` and ``proof_trace`` make
+    before the gate is decided, in one order and with one set of texts.
+    """
+    gate = _gate(theorem)
+    _check_int(m, 1, "m must be >= 1")
+    if m > v.dim:
+        raise ValueError(
+            f"m = {m} exceeds the manifold dimension {v.dim}: the degree-k "
+            "Chern scalar vanishes for k > dim, so a positive threshold "
+            "there can never be met"
+        )
+    return gate
+
+
 def check_hypotheses(
     v: SplitChernVector,
     m: int,
@@ -206,14 +223,7 @@ def check_hypotheses(
     Each gate honours one caller assertion: ``degree_one_cover`` for
     thm4, ``all_families_degree_one`` for the thm5 pair.
     """
-    gate = _gate(theorem)
-    _check_int(m, 1, "m must be >= 1")
-    if m > v.dim:
-        raise ValueError(
-            f"m = {m} exceeds the manifold dimension {v.dim}: the degree-k "
-            "Chern scalar vanishes for k > dim, so a positive threshold "
-            "there can never be met"
-        )
+    gate = _checked_gate(v, m, theorem)
     rows, passed, fact = [], True, 1
     for k, r in enumerate(v.scalars[:m], start=1):
         fact *= k
@@ -350,13 +360,17 @@ def proof_trace(
     denominator > 0); they are compared with each other and with the
     requirement by cross-multiplying, and each reported bound is one
     Fraction, three per level.
+
+    The gate is refused with the texts of ``check_hypotheses``, in the
+    same order; whether it passes is decided by ``max_m`` without a second
+    degree-by-degree pass, which is exact because the passing levels are
+    closed downward.
     """
-    report = check_hypotheses(v, m, theorem)
-    if not report.passed:
+    gate = _checked_gate(v, m, theorem)
+    if m > max_m(v, theorem):
         raise ValueError(
             f"gate {theorem} fails for m = {m}; no certificate can be issued"
         )
-    gate = _GATES[theorem]
     tab = table or shared_table()
     # The m inputs as power sums over one common denominator, shared by
     # every level; level i reads at most i + 1 <= m of them.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 import re
 import sys
@@ -361,6 +362,89 @@ def test_tables_in_threads_grow_the_shared_weights_consistently(monkeypatch):
         ((-1) ** m * b / factorial(m)).as_integer_ratio() for m, b in enumerate(bernoulli_table(43))
     ]
     assert store.lcms == list(accumulate((den for _, den in store.pairs), lcm))
+
+
+def test_closed_rows_read_out_of_order_equal_rows_read_in_order():
+    # The depth-40 row of every column first, then every other row in a
+    # seeded order: each closed row is computed alone, into its own slot.
+    pairs = [(i, j) for i in range(41) for j in range(1, 13)]
+    rng = random.Random(23)
+    deepest = [p for p in pairs if p[0] == 40]
+    rest = [p for p in pairs if p[0] < 40]
+    rng.shuffle(deepest)
+    rng.shuffle(rest)
+    sparse = CoeffTable()
+    for i, j in deepest:
+        sparse._row(i, j)
+    # Only the unit row and the row read are held; nobody read depths 1..39.
+    for j in range(1, 13):
+        column = sparse._columns[j]
+        assert len(column) == 41 and column[0] is not None and column[40] is not None
+        assert column[1:40] == [None] * 39
+    in_order, toeplitz = CoeffTable(), CoeffTable([Fraction(1)])
+    expected = {(i, j): in_order._row(i, j) for j in range(1, 13) for i in range(41)}
+    for i, j in deepest + rest:
+        assert sparse._row(i, j) == expected[i, j] == toeplitz._row(i, j), (i, j)
+    # A Toeplitz column is filled through every depth above the row read.
+    assert all(row is not None for column in toeplitz._columns.values() for row in column)
+
+
+def test_cold_direct_descent_computes_each_closed_row_it_reads_once(monkeypatch):
+    calls = []
+    closed = coeffs._generating_numerators
+
+    def counted(i, j):
+        calls.append((i, j))
+        return closed(i, j)
+
+    monkeypatch.setattr(coeffs, "_generating_numerators", counted)
+    table = CoeffTable()
+    v = descend_direct(projective_space(100).vector, 33, 1, table=table)
+    assert v.scalars == projective_space(67).vector.scalars
+    # The level checks read (level - 1, 1) for levels 1..33 (depth 0 is the
+    # unit row) and the result reads (33, j) for j = 1..67: 99 rows, where
+    # filling every column through every depth took 67 * 33 = 2211.
+    expected = {(level, 1) for level in range(1, 33)} | {(33, j) for j in range(1, 68)}
+    assert len(calls) == len(set(calls)) == 99
+    assert set(calls) == expected
+    # Warm, the same descent computes nothing.
+    descend_direct(projective_space(100).vector, 33, 1, table=table)
+    assert len(calls) == 99
+
+
+def test_honest_tables_in_threads_grow_the_shared_closed_inputs_consistently(monkeypatch):
+    # Fresh shared inputs, more threads than cores and a short switch
+    # interval, so their growth interleaves; a lost or doubled step, or
+    # two threads advancing one recurrence at once, breaks the checks below.
+    monkeypatch.setattr(coeffs, "_RISING", [])
+    monkeypatch.setattr(coeffs, "_SURJECTIONS", [])
+    steps = coeffs._symmetric_expansions(itertools.count(1))
+    monkeypatch.setattr(coeffs, "_RISING_STEPS", (e[::-1] for e in steps))
+    monkeypatch.setattr(coeffs, "_SURJECTION_STEPS", coeffs._surjection_rows())
+    pairs = [(i, j) for i in range(1, 41) for j in (1, 2, 5, 9)]
+    random.Random(5).shuffle(pairs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [
+                pool.submit(lambda i, j: CoeffTable().coefficient(i, j, 1), i, j)
+                for i, j in pairs
+            ]
+            values = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    # The Toeplitz route reads neither input, so it is an independent reference.
+    reference = CoeffTable([Fraction(1)])
+    assert values == [reference.coefficient(i, j, 1) for i, j in pairs]
+    rising = [[1]]
+    for d in range(1, 41):
+        # (t+1)...(t+d), t^0 first, one factor t + d at a time.
+        rising.append([d * a + b for a, b in zip([*rising[-1], 0], [0, *rising[-1]])])
+    assert coeffs._RISING == rising
+    assert coeffs._SURJECTIONS == [
+        [_stirling2(j, l) * factorial(l) for l in range(j + 1)] for j in range(10)
+    ]
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ from fanodescent.coeffs import (
     verify_identities,
 )
 from fanodescent.descent import (
+    CATALOGUE_NAMES,
     DIMENSION_ZERO,
     INSUFFICIENT_DATA,
     NEGATIVE_DIMENSION,
@@ -436,6 +437,35 @@ def test_catalogue_validation():
         catalogue("projective_space", [2, 3])
     with pytest.raises(ValueError):
         grassmannian(3, 3)
+
+
+_FAMILIES = "choose from projective_space, quadric, grassmannian"
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("flag_variety", [2], f"unknown manifold family 'flag_variety'; {_FAMILIES}"),
+        ("", [], f"unknown manifold family ''; {_FAMILIES}"),
+        ("Quadric", [3], f"unknown manifold family 'Quadric'; {_FAMILIES}"),
+        ("projective_space", [], "projective_space takes 1 integer parameter(s), got 0"),
+        ("projective_space", [2, 3], "projective_space takes 1 integer parameter(s), got 2"),
+        ("quadric", (3, 7), "quadric takes 1 integer parameter(s), got 2"),
+        ("grassmannian", [2], "grassmannian takes 2 integer parameter(s), got 1"),
+        ("grassmannian", [2, 5, 1], "grassmannian takes 2 integer parameter(s), got 3"),
+    ],
+)
+def test_catalogue_refusal_texts(name, params, message):
+    with pytest.raises(ValueError) as excinfo:
+        catalogue(name, params)
+    assert str(excinfo.value) == message
+
+
+def test_catalogue_names_list_every_family_in_order():
+    assert CATALOGUE_NAMES == ("projective_space", "quadric", "grassmannian")
+    params = {"projective_space": [2], "quadric": [3], "grassmannian": [2, 5]}
+    names = [catalogue(name, params[name]).name for name in CATALOGUE_NAMES]
+    assert names == list(CATALOGUE_NAMES)
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,7 @@ def test_scaling_record_smoke(tmp_path):
         "verify M=3",
         "check projective_space m=5 thm4",
         "chain projective_space n=4",
+        "chain quadric n=4",
         "descend_direct projective_space n=6 i=2",
         "proof_trace_thm4 P^m m=2..24 passes=1",
     ]
@@ -90,7 +91,7 @@ def test_scaling_parent_src_alternates_in_one_record(tmp_path):
     assert sorted(runs) == ["change", "parent"]
     change, parent = runs["change"]["cases"], runs["parent"]["cases"]
     assert [c["name"] for c in change] == [c["name"] for c in parent]
-    assert len(change) == 5
+    assert len(change) == 6
     for mine, theirs in zip(change, parent):
         assert mine["argv"] == theirs["argv"]
         assert mine["exit_codes"] == theirs["exit_codes"] == [0, 0]

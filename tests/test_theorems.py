@@ -207,6 +207,55 @@ def test_max_m_never_runs_the_gate_check(monkeypatch):
     assert theorems.max_m(projective_space(9).vector, THM4) == 9
 
 
+def test_trace_never_runs_the_gate_check(monkeypatch):
+    # proof_trace decides its gate through max_m; its callers have just run
+    # the full check, so a second one would be wasted.
+    import fanodescent.theorems as theorems
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("proof_trace ran the full gate check")
+
+    monkeypatch.setattr(theorems, "check_hypotheses", refuse)
+    cert = theorems.proof_trace(projective_space(9).vector, 9, THM4)
+    assert [lv.dim_bound for lv in cert.per_level] == list(range(8, 0, -1))
+    cert = theorems.proof_trace(quadric(9).vector, 5, THM5, at_actual=True)
+    assert len(cert.per_level) == 4 and cert.mode == "actual"
+    with pytest.raises(ValueError, match="gate thm4 fails for m = 3"):
+        theorems.proof_trace(quadric(6).vector, 3, THM4)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_trace_refuses_exactly_when_the_gate_fails(theorem):
+    outcomes = set()
+    for v in random_gate_vectors(theorem, 200, seed=31):
+        for m in range(1, v.dim + 1):
+            passed = check_hypotheses(v, m, theorem).passed
+            outcomes.add(passed)
+            if passed:
+                assert proof_trace(v, m, theorem).m == m
+            else:
+                with pytest.raises(ValueError) as excinfo:
+                    proof_trace(v, m, theorem)
+                assert str(excinfo.value) == (
+                    f"gate {theorem} fails for m = {m}; no certificate can be issued"
+                )
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "m, theorem",
+    [(0, THM4), (True, THM5), (1.0, THM4), (4, THM5_STRONG), (0, "thm6"), (4, "thm6")],
+)
+def test_trace_refusals_before_the_gate_match_the_gate_check(m, theorem):
+    # Same texts, same order: the theorem name first, then m, then the dimension.
+    v = projective_space(3).vector
+    with pytest.raises(ValueError) as expected:
+        check_hypotheses(v, m, theorem)
+    with pytest.raises(ValueError) as got:
+        proof_trace(v, m, theorem)
+    assert str(got.value) == str(expected.value)
+
+
 def test_unknown_gate_is_rejected_everywhere():
     v = projective_space(3).vector
     for call in (

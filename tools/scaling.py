@@ -1,7 +1,8 @@
 """Cold wall times of large runs, written to a BENCH_*.json record.
 
 Each case runs in fresh processes against the package under ``--src``:
-a CLI case runs ``python -m fanodescent ... --json``, a direct-descent
+a CLI case runs ``python -m fanodescent ... --json`` (``verify``,
+``check`` on P^m, and ``chain`` on both P^n and Q^n), a direct-descent
 case runs ``descend_direct(P^n, n // 3)`` on a cold table through
 ``python -c`` and prints the descended scalars, and a certificate case
 runs ``proof_trace_thm4(P^m, m)`` on a fresh table for m = 2..24, the
@@ -101,8 +102,8 @@ def cases(
         argv = [*cli, "check", "projective_space", str(m), "--theorem", "thm4", "--m", str(m)]
         out.append((f"check projective_space m={m} thm4", [*argv, "--json"]))
     for n in chain_sizes:
-        argv = [*cli, "chain", "projective_space", str(n), "--json"]
-        out.append((f"chain projective_space n={n}", argv))
+        for family in ("projective_space", "quadric"):
+            out.append((f"chain {family} n={n}", [*cli, "chain", family, str(n), "--json"]))
     for n in direct_sizes:
         i = max(n // 3, 1)
         out.append((f"descend_direct projective_space n={n} i={i}", ["-c", _DIRECT, str(n), str(i)]))
@@ -175,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", type=_sizes, default=[50, 100, 150, 200, 400],
                         help="comma-separated m for check projective_space m --theorem thm4 --m m")
     parser.add_argument("--chain", type=_sizes, default=[100],
-                        help="comma-separated n for chain projective_space n")
+                        help="comma-separated n for chain projective_space n and quadric n")
     parser.add_argument("--direct", type=_sizes, default=[60],
                         help="comma-separated n for descend_direct(P^n, n // 3) on a cold table")
     parser.add_argument("--certify", type=_sizes, default=[200],
