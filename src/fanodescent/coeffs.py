@@ -30,6 +30,15 @@ life: the Bernoulli weights that a prefix agreeing with the true numbers
 reads, and the closed route's inputs (the rising products (t+1)...(t+d)
 and the surjection numbers S2(j, l) * l!).
 
+The same two stores convert power sums rho_k = k! * r_k to binomial
+moments lambda_l = L(C(t, l)), where L(t^k) = rho_k, and back: the
+rising products hold the Stirling numbers of the first kind, the
+surjection numbers those of the second.  In that basis a descent step at
+curve degree 1 needs no row at all; it is the Pascal step
+lambda_l + lambda_{l+1} - [l = 1].  ``descend_chain`` walks a chain on an
+honest table that way; every table with a prefix, and every other
+descent, reads rows.
+
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
 discrepancy.  Each route yields integer rows (numerators over one common
@@ -183,8 +192,9 @@ def _surjection_rows() -> Iterator[list[int]]:
         row = list(map(mul, count(), map(add, [0, *row], [*row, 0])))
 
 
-# The closed route's inputs, shared by every honest table, the identity pass
-# and generating_polynomial, and kept for the life of the process:
+# The closed route's inputs, shared by every honest table, the identity pass,
+# generating_polynomial and the binomial-moment conversions, and kept for the
+# life of the process:
 # _RISING[d] holds the coefficients of (t+1)...(t+d), t^0 first, and
 # _SURJECTIONS[j] holds S2(j, l) * l! for l = 0..j.  Each list grows only
 # under the lock, by the next steps of its one running recurrence, and only
@@ -202,6 +212,65 @@ def _grow_closed(depth: int, j: int) -> None:
         with _CLOSED_LOCK:
             _RISING.extend(islice(_RISING_STEPS, max(0, depth + 1 - len(_RISING))))
             _SURJECTIONS.extend(islice(_SURJECTION_STEPS, max(0, j + 1 - len(_SURJECTIONS))))
+
+
+def _binomial_moments(scaled: Sequence[int], common: int) -> tuple[list[int], int]:
+    """The binomial moments of the power sums ``scaled`` over ``common``.
+
+    The power sums rho_k = k! * r_k, k = 1..n, define a functional L on
+    polynomials without a constant term, L(t^k) = rho_k.  Its binomial
+    moments are lambda_l = L(C(t, l)) = sum_{k<=l} s(l, k) * rho_k / l!
+    for l = 1..n, where s(l, k) = (-1)^(l-k) * _RISING[l-1][k-1] is the
+    signed Stirling number of the first kind.  Returns the moments as
+    integer numerators over one denominator, reduced once by
+    ``_reduced``, with trailing zeros dropped: P^n gives [n + 1] over 1
+    and Q^n gives [n, -1] over 1.  O(n^2) multiply-adds.
+    """
+    n = len(scaled)
+    _grow_closed(n - 1, 0)
+    # (-1)^k * rho_k, so that moment l sums the unsigned _RISING[l-1] against it.
+    alternating = [-r if k % 2 else r for k, r in enumerate(scaled, 1)]
+    nums, scale = [], 1
+    for l in range(n, 0, -1):
+        # Over the denominator n! * common: l! * lambda_l times n!/l!.
+        total = scale * sum(map(mul, _RISING[l - 1], alternating))
+        nums.append(-total if l % 2 else total)
+        scale *= l
+    nums.reverse()
+    while nums and not nums[-1]:
+        nums.pop()
+    return _reduced(nums, scale * common)
+
+
+def _pascal_step(moments: Sequence[int], den: int, d: int) -> list[int]:
+    """One descent step at curve degree 1 to a dimension-d family, on binomial moments.
+
+    The descended functional is L'(f) = L(S f) - f(1): summation sends
+    C(t, l) to C(t+1, l+1) = C(t, l+1) + C(t, l), and the -1/j! of each
+    descended scalar is -f(1), which is [l = 1] for f = C(t, l).  So
+    lambda'_l = lambda_l + lambda_{l+1} - [l = 1] for l = 1..d, over the
+    same denominator; it reads lambda_1..lambda_{d+1}, and ``moments``
+    may stop early at its last nonzero entry.  Trailing zeros are
+    dropped again.  O(d).
+    """
+    stepped = list(map(add, moments[:d], [*moments[1 : d + 1], 0]))
+    stepped[0] -= den
+    while stepped and not stepped[-1]:
+        stepped.pop()
+    return stepped
+
+
+def _power_sums(moments: Sequence[int], top: int) -> list[int]:
+    """rho_k = sum_{l<=k} S2(k, l) * l! * lambda_l for k = 1..top, over the moments' denominator.
+
+    The inverse of ``_binomial_moments``, read from ``_SURJECTIONS``; a
+    sum stops at the last stored moment, so its trailing zeros cost
+    nothing.
+    """
+    _grow_closed(0, top)
+    # S2(k, 0) = 0 for k >= 1 meets the padding.
+    padded = [0, *moments]
+    return [sum(map(mul, _SURJECTIONS[k], padded)) for k in range(1, top + 1)]
 
 
 class CoeffTable:

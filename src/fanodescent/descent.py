@@ -5,19 +5,35 @@ one per degree of its Chern character against a distinguished
 polarization.  Descending to the minimal family of degree-a rational
 curves produces a shorter vector over the family's own polarization;
 iterating builds chains whose first non-Fano member defines the chain
-invariant N.  Two model manifold families (projective spaces, quadric
-hypersurfaces) are built in; Grassmannians are catalogued by chain shape
-only since their minimal families leave the scalar model.
+invariant N.  Single steps, direct descent and the certificates sum
+coefficient rows against the vector's power sums k! * r_k.  A chain on
+an honest table reads no row: it carries each member's binomial moments
+L(C(t, l)), where L(t^k) = k! * r_k, and one step of curve degree 1 is
+one Pascal step on them.  Two model manifold families (projective
+spaces, quadric hypersurfaces) are built in; Grassmannians are
+catalogued by chain shape only since their minimal families leave the
+scalar model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
-from .coeffs import _DEPTH, CoeffTable, _over_common, _row_scalars, shared_table
+from .coeffs import (
+    _DEPTH,
+    CoeffTable,
+    _binomial_moments,
+    _over_common,
+    _pascal_step,
+    _power_sums,
+    _row_scalars,
+    shared_table,
+)
 from .exact import _check_int, as_rational
 
 __all__ = [
@@ -265,6 +281,43 @@ def descend_direct(
     )
 
 
+def _moment_walk(v: SplitChernVector) -> Callable[[int], DescentStep]:
+    """One chain step after another from v, carried on binomial moments.
+
+    Each call takes the curve degree of the next step and returns the
+    step ``descend`` would give on an honest table.  The walk keeps the
+    member's binomial moments lambda_l = L(C(t, l)) as integer numerators
+    over one denominator (see ``coeffs._binomial_moments``), converted
+    from the power sums of v once, at the first step, and again only
+    after a step of degree a != 1, which scales rho_k by a^k.  Since
+    r_1 = lambda_1, the family dimension is read off lambda_1; a step of
+    degree 1 is then the Pascal step lambda_l + lambda_{l+1} - [l = 1],
+    l = 1..d, and the member's scalars k! * r_k are read back by sums
+    that stop at the last nonzero moment.  No coefficient row is read.
+    """
+    moments: list[int] | None = None
+    r = v.scalars[0]
+    den, dim = r.denominator, v.dim
+
+    def step(a: int) -> DescentStep:
+        nonlocal moments, den, dim
+        lead = r.numerator if moments is None else moments[0]
+        d = _family_dim(lead * a, den, dim)
+        if d <= 0:
+            return DescentStep(a, d, None)
+        if moments is None:
+            moments, den = _binomial_moments(*_weighted(v, a, d + 1))
+        elif a != 1:
+            sums = _power_sums(moments, d + 1)
+            moments, den = _binomial_moments([p * a**k for k, p in enumerate(sums, 1)], den)
+        moments, dim = _pascal_step(moments, den, d), d
+        facts = accumulate(range(1, d + 1), mul)
+        scalars = [Fraction(p, f * den) for p, f in zip(_power_sums(moments, d), facts)]
+        return DescentStep(a, d, SplitChernVector(scalars))
+
+    return step
+
+
 def descend_chain(
     v: SplitChernVector,
     degrees: tuple[int, ...] | list[int] | None = None,
@@ -279,19 +332,40 @@ def descend_chain(
     that degree exists) and missing scalars both only set the terminal
     cause, which keeps family dimensions strictly decreasing along the
     recorded steps.
+
+    On an honest table (``table`` None or built without a Bernoulli
+    prefix) the walk carries the members' binomial moments from step to
+    step (``_moment_walk``): a degree-1 step to a dimension-d family is
+    one Pascal step, O(d), and its d scalars are read back by sums that
+    stop at the last nonzero moment.  The catalogue's moments have one
+    or two nonzero entries, so a walk on P^n or Q^n costs O(n^2) besides
+    one Fraction per reported scalar, where rows cost about n^3 / 6
+    multiply-adds; a dense vector still costs about n^3 / 6.  A table
+    with a prefix is followed row by row through ``descend``, so a
+    corrupted prefix is followed exactly.
     """
     if degrees is not None:
         for a in degrees:
             _check_int(a, 1, _DEGREE)
+    if table is None or table._closed:
+        walk = _moment_walk(v)
+    else:
+        current = v
+
+        def walk(a: int) -> DescentStep:
+            nonlocal current
+            step = descend(current, a, table)
+            current = step.descended
+            return step
+
     steps: list[DescentStep] = []
-    current = v
     terminal = None
     n_value: int | None = None
     while terminal is None:
         idx = len(steps)
         a = degrees[idx] if degrees is not None and idx < len(degrees) else 1
         try:
-            step = descend(current, a, table)
+            step = walk(a)
         except InsufficientScalarsError:
             terminal = INSUFFICIENT_DATA
             break
@@ -305,8 +379,6 @@ def descend_chain(
         elif not step.descended.is_fano:
             terminal = NOT_FANO
             n_value = len(steps)
-        else:
-            current = step.descended
     return ChainReport(
         tuple(steps), tuple([s.degree_used for s in steps]), terminal, n_value
     )

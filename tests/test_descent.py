@@ -3,13 +3,16 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd
 
 import pytest
 
 from fanodescent.coeffs import (
     CoeffTable,
+    _binomial_moments,
     _over_common,
+    _pascal_step,
+    _power_sums,
     ch1_coefficient_closed,
     ch2_coefficient_closed,
     composition_sum,
@@ -768,3 +771,123 @@ def test_descend_chain_with_mixed_degrees_matches_reference_sum(flip):
         ] == steps
         compared += len(steps)
     assert compared >= 150
+
+
+# --- binomial moments ----------------------------------------------------------------
+
+
+def _moments_of(v):
+    return _binomial_moments(*_over_common(v.scalars))
+
+
+def test_binomial_moments_of_the_catalogue():
+    # lambda_l = L(C(t, l)) = sum over the roots of C(root, l).  The power sums
+    # n + 1 of P^n are those of n + 1 roots 1, and n + 2 - 2^k of Q^n those of
+    # n + 2 roots 1 less one root 2, so lambda = (n + 2)[l = 1] - C(2, l).
+    for n in range(1, 71):
+        assert _moments_of(projective_space(n).vector) == ([n + 1], 1), n
+        assert _moments_of(quadric(n).vector) == ([n, -1] if n > 1 else [1], 1), n
+
+
+def test_binomial_moments_of_complete_intersections():
+    # Type (d) in P^N: rho_k = N + 1 - d^k, so lambda_l = (N+1)[l = 1] - C(d, l),
+    # for the N - 1 scalars of the hypersurface; trailing zeros are dropped.
+    for big_n in range(2, 31):
+        for d in range(1, 8):
+            power_sums = [big_n + 1 - d**k for k in range(1, big_n)]
+            expected = [(big_n + 1 if l == 1 else 0) - comb(d, l) for l in range(1, big_n)]
+            while expected and not expected[-1]:
+                expected.pop()
+            assert _binomial_moments(power_sums, 1) == (expected, 1), (big_n, d)
+
+
+def test_power_sums_invert_binomial_moments_on_pool_vectors():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        r = [rng.choice(_ORACLE_POOL) for _ in range(n)]
+        scaled, common = _over_common(r)
+        moments, den = _binomial_moments(scaled, common)
+        # One reduced form: no factor is shared by den and every numerator.
+        assert den > 0 and gcd(den, *moments) == 1
+        assert len(moments) <= n and (not moments or moments[-1])
+        sums = _power_sums(moments, n)
+        assert [Fraction(p, den) for p in sums] == [Fraction(s, common) for s in scaled]
+
+
+def test_one_pascal_step_is_one_catalogue_step():
+    for n in range(2, 71):
+        moments, den = _moments_of(projective_space(n).vector)
+        assert _pascal_step(moments, den, n - 1) == _moments_of(projective_space(n - 1).vector)[0]
+    for n in range(3, 71):
+        moments, den = _moments_of(quadric(n).vector)
+        assert _pascal_step(moments, den, n - 2) == _moments_of(quadric(n - 2).vector)[0]
+
+
+def _chain_outcome(v, degrees, table=None):
+    """The report of descend_chain, or the type and text of what it raised."""
+    try:
+        return descend_chain(v, degrees, table)
+    except DescentError as err:
+        return type(err), str(err)
+
+
+def _cross_route_cases(seed, count):
+    """Seeded (vector, degrees): every terminal, and non-integral dimensions.
+
+    The vectors of ``_mixed_degree_vectors`` walk integral chains; copies
+    are cut short (missing scalars), have a tail entry redrawn from the
+    pool (a later member may have a non-integral degree) or walk other
+    degree lists, none among them.
+    """
+    rng = random.Random(seed)
+    for v, degrees in _mixed_degree_vectors(CoeffTable(), seed, count):
+        r = list(v.scalars)
+        yield v, degrees
+        yield v, None
+        yield SplitChernVector(r[: rng.randint(1, len(r))]), degrees
+        redrawn = r[:]
+        redrawn[rng.randrange(1, len(r))] = rng.choice(_ORACLE_POOL)
+        yield SplitChernVector(redrawn), degrees
+        yield v, [rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 4))]
+
+
+def test_chain_on_moments_equals_chain_on_rows_on_random_vectors():
+    rows = CoeffTable([Fraction(1)])
+    seen = set()
+    for v, degrees in _cross_route_cases(71, 80):
+        outcome = _chain_outcome(v, degrees)
+        assert outcome == _chain_outcome(v, degrees, rows), (v, degrees)
+        seen.add(outcome[0] if isinstance(outcome, tuple) else outcome.terminal)
+    assert seen >= {
+        DIMENSION_ZERO, NOT_FANO, INSUFFICIENT_DATA, NEGATIVE_DIMENSION, NonIntegralDimensionError
+    }
+
+
+def test_chain_on_moments_equals_chain_on_rows_on_the_catalogue():
+    rows = CoeffTable([Fraction(1)])
+    for n in range(1, 71):
+        for entry in (projective_space(n), quadric(n)):
+            for degrees in (entry.degrees, None):
+                report = descend_chain(entry.vector, degrees)
+                assert report == descend_chain(entry.vector, degrees, rows), (entry.label, degrees)
+        # An odd quadric's chain ends on its degree-2 step, to a point.
+        if n % 2:
+            report = descend_chain(quadric(n).vector, quadric(n).degrees)
+            assert report.degree_sequence[-1] == 2 and report.terminal == DIMENSION_ZERO
+
+
+def test_honest_chain_reads_no_coefficient_row(monkeypatch):
+    def refuse(self, i, j):
+        raise AssertionError(f"row ({i}, {j}) read")
+
+    monkeypatch.setattr(CoeffTable, "_row", refuse)
+    entry = projective_space(64)
+    report = descend_chain(entry.vector, entry.degrees)
+    assert (report.terminal, report.n_first_non_fano) == (DIMENSION_ZERO, 64)
+    assert [s.descended.scalars for s in report.steps[:-1]] == [
+        projective_space(d).vector.scalars for d in range(63, 0, -1)
+    ]
+    assert descend_chain(entry.vector, entry.degrees, CoeffTable()) == report
+    with pytest.raises(AssertionError, match=re.escape("row (1, ")):
+        descend_chain(entry.vector, entry.degrees, CoeffTable([Fraction(1)]))

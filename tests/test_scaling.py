@@ -61,6 +61,7 @@ def test_scaling_record_smoke(tmp_path):
         assert case["exit_codes"] == [0]
         assert case["reports_identical"]
         assert len(case["wall_s"]) == 1 and case["median_s"] > 0
+        assert len(case["peak_rss_mb"]) == 1 and case["median_peak_rss_mb"] > 0
     # The hash is of the report the CLI prints for the same argv, and of
     # the scalars of P^4, the second iterate of P^6.
     *cli_cases, direct, certify = run["cases"]
@@ -95,9 +96,41 @@ def test_scaling_parent_src_alternates_in_one_record(tmp_path):
     for mine, theirs in zip(change, parent):
         assert mine["argv"] == theirs["argv"]
         assert mine["exit_codes"] == theirs["exit_codes"] == [0, 0]
+        assert len(mine["peak_rss_mb"]) == len(theirs["peak_rss_mb"]) == 2
         assert mine["reports_identical"] and theirs["reports_identical"]
         assert mine["report_sha256"] == theirs["report_sha256"]
     assert runs["change"]["alternated"] and runs["parent"]["alternated"]
+
+
+# Measures a child that fills 48 MB, one that prints 48 MB and one that
+# does nothing, from a fresh interpreter: a child's peak also counts the
+# memory of the process it was started from, which in the test process is
+# far above the script's.
+_PEAKS = (
+    "import importlib.util, json, sys\n"
+    "spec = importlib.util.spec_from_file_location('scaling', sys.argv[1])\n"
+    "scaling = importlib.util.module_from_spec(spec)\n"
+    "spec.loader.exec_module(scaling)\n"
+    "src = {'x': sys.argv[2]}\n"
+    "codes = ['x = bytes([1]) * (48 << 20)', 'import sys\\n'\n"
+    "         'for _ in range(48): sys.stdout.buffer.write(bytes(1 << 20))', 'pass']\n"
+    "print(json.dumps([scaling.measure(src, ['-c', c], 1)['x'] for c in codes]))\n"
+)
+
+
+def test_peak_rss_is_each_childs_own():
+    # Each later peak is that child's own, not the largest of every child so far.
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAKS, str(SCRIPT), str(SRC)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    big, printer, small = json.loads(proc.stdout)
+    assert big["exit_codes"] == printer["exit_codes"] == small["exit_codes"] == [0]
+    assert big["peak_rss_mb"][0] > 48
+    # The 48 MB of output are hashed as they come, never held by the script.
+    assert printer["report_sha256"] == hashlib.sha256(bytes(48 << 20)).hexdigest()
+    assert printer["peak_rss_mb"][0] < big["peak_rss_mb"][0] - 32
+    assert small["peak_rss_mb"][0] < big["peak_rss_mb"][0] - 32
 
 
 def test_scaling_parent_label_is_reserved_with_parent_src(tmp_path):

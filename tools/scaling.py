@@ -7,10 +7,10 @@ case runs ``descend_direct(P^n, n // 3)`` on a cold table through
 ``python -c`` and prints the descended scalars, and a certificate case
 runs ``proof_trace_thm4(P^m, m)`` on a fresh table for m = 2..24, the
 given number of passes, in one process, and prints the last pass's
-certificates.  The record holds the wall time of every process, their
-median and the sha256 of the output.  The hash shows whether two sources
-give byte-identical output; a case whose runs disagree, or that exits
-non-zero, makes the script exit 1.
+certificates.  The record holds the wall time and the peak resident set
+size of every process, their medians and the sha256 of the output.  The
+hash shows whether two sources give byte-identical output; a case whose
+runs disagree, or that exits non-zero, makes the script exit 1.
 
 Usage (standard library only):
 
@@ -139,26 +139,51 @@ def measure(sources: dict[str, Path], argv: list[str], repeats: int) -> dict[str
     Each repeat runs every source once, in the given order on even
     repeats and reversed on odd ones.  Returns one summary per label.
     """
-    runs = {label: ([], [], []) for label in sources}
+    # Per label: wall times, exit codes, digests and peaks, in _run_child's order.
+    runs = {label: ([], [], [], []) for label in sources}
     order = list(sources.items())
     for repeat in range(repeats):
         for label, src in order if repeat % 2 == 0 else order[::-1]:
             env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
-            start = time.perf_counter()
-            proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True)
-            walls, codes, digests = runs[label]
-            walls.append(time.perf_counter() - start)
-            codes.append(proc.returncode)
-            digests.append(hashlib.sha256(proc.stdout).hexdigest())
+            for values, value in zip(runs[label], _run_child([sys.executable, *argv], env)):
+                values.append(value)
     return {label: _summary(argv, *run) for label, run in runs.items()}
 
 
-def _summary(argv: list[str], walls: list[float], codes: list[int], digests: list[str]) -> dict:
+def _run_child(argv: list[str], env: dict) -> tuple[float, int, str, float]:
+    """(wall seconds, exit code, stdout sha256, peak RSS in MB) of one child process.
+
+    The child is reaped by ``os.wait4``, whose resource usage is that
+    child's own: the RUSAGE_CHILDREN maximum would be the largest of
+    every child so far.  ``ru_maxrss`` is in KiB on Linux, and there it
+    also counts the memory the child was started from, this script's
+    own (about 18 MB): a reading near that floor only bounds the child's
+    peak from above.  So stdout is hashed chunk by chunk and never held
+    whole, which would raise the floor for every later child.  Its
+    stderr is discarded, so that reading stdout to its end cannot block.
+    """
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    digest = hashlib.sha256()
+    with proc.stdout:
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return wall, proc.returncode, digest.hexdigest(), usage.ru_maxrss / 1024
+
+
+def _summary(
+    argv: list[str], walls: list[float], codes: list[int], digests: list[str], peaks: list[float]
+) -> dict:
     return {
         "argv": argv,
         "exit_codes": codes,
         "wall_s": [round(w, 4) for w in walls],
         "median_s": round(statistics.median(walls), 4),
+        "peak_rss_mb": [round(p, 2) for p in peaks],
+        "median_peak_rss_mb": round(statistics.median(peaks), 2),
         "report_sha256": digests[0],
         "reports_identical": len(set(digests)) == 1,
     }
@@ -199,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
             results[label].append(result)
             clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
             ok = ok and clean
-            print(f"{name} [{label}]: median {result['median_s']} s"
+            print(f"{name} [{label}]: median {result['median_s']} s, "
+                  f"{result['median_peak_rss_mb']} MB"
                   + ("" if clean else f", exit codes {result['exit_codes']}, reports differ or fail"),
                   file=sys.stderr)
 
