@@ -26,14 +26,16 @@ recursion.  The closed form holds only for the true Bernoulli numbers,
 and it never computes one.  ``verify`` builds its table with the prefix
 [1], so that the generating polynomials stay a second route there.  What
 no single table owns is computed once per process and kept for its
-life: the Bernoulli weights that a prefix agreeing with the true numbers
-reads, and the closed route's inputs (the rising products (t+1)...(t+d)
-and the surjection numbers S2(j, l) * l!).
+life, each in one ``_Store``, a list that only grows by the next terms
+of its recurrence: the factorials, the Bernoulli weights that a prefix
+agreeing with the true numbers reads, and the closed route's inputs (the
+rising products (t+1)...(t+d) and the surjection numbers
+S2(j, l) * l!).
 
-The same two stores convert power sums rho_k = k! * r_k to binomial
-moments lambda_l = L(C(t, l)), where L(t^k) = rho_k, and back: the
-rising products hold the Stirling numbers of the first kind, the
-surjection numbers those of the second.  In that basis a descent step at
+The closed route's two stores also convert power sums rho_k = k! * r_k
+to binomial moments lambda_l = L(C(t, l)), where L(t^k) = rho_k, and
+back: the rising products hold the Stirling numbers of the first kind,
+the surjection numbers those of the second.  In that basis a descent step at
 curve degree 1 needs no row at all; it is the Pascal step
 lambda_l + lambda_{l+1} - [l = 1].  ``descend_chain`` walks a chain on an
 honest table that way; every table with a prefix, and every other
@@ -128,55 +130,57 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-class _Weights:
-    """The Bernoulli numbers B_m and the Toeplitz weights b_m of one prefix.
+class _Store(list):
+    """The terms t_0, t_1, ... of one running recurrence, as a list.
 
-    ``bernoulli`` holds B_0, B_1, ...; ``pairs[m]`` is
-    ``b_m = (-1)^m B_m / m!`` as (numerator, denominator); ``lcms[m]`` is
-    the lcm of the denominators of b_0..b_m; ``factorials[m]`` is m!,
-    which the Toeplitz route also uses to move rows between bases.  All
-    four lists only grow, and only under the lock, so a reader may use
-    any entry it sees.  A grown tail is built locally and published with
-    ``factorials`` and ``lcms`` extended before ``pairs``: a reader that
-    finds pair m also finds m! and lcm m.
+    ``upto(n)`` makes t_0..t_n available: it advances the store's
+    generator under the store's own lock, so two threads never step one
+    recurrence at once and each term is computed once.  Terms are only
+    appended, each one whole, so a reader indexes any entry it sees
+    without the lock; a hit is a length test and an index.  A generator
+    may read another store, never its own: the weights read
+    ``_FACTORIALS``, which reads none.
+
+    Every table ``coeffs`` keeps is one: ``_FACTORIALS``, ``_HONEST``
+    (and the private weights of each overridden prefix), ``_RISING`` and
+    ``_SURJECTIONS``.  A module-level store keeps every term it has
+    reached for the life of the process.
     """
 
-    def __init__(self, bernoulli: list[Fraction]):
-        self.bernoulli = bernoulli
-        self.pairs: list[tuple[int, int]] = [(1, 1)]
-        self.lcms: list[int] = [1]
-        self.factorials: list[int] = [1]
+    def __init__(self, steps: Iterator):
+        super().__init__()
+        self._steps = steps
         self._lock = threading.Lock()
 
-    def bernoulli_number(self, m: int) -> Fraction:
-        if not 0 <= m < len(self.bernoulli):
+    def upto(self, n: int) -> None:
+        if len(self) <= n:
             with self._lock:
-                extend_bernoulli(self.bernoulli, m)
-        return self.bernoulli[m]
-
-    def grow(self, size: int) -> None:
-        """Make b_0..b_{size-1} and their lcms available."""
-        if len(self.pairs) >= size:
-            return
-        with self._lock:
-            start = len(self.pairs)
-            extend_bernoulli(self.bernoulli, size - 1)
-            pairs, lcms, facts = [], [], []
-            last, fact = self.lcms[-1], self.factorials[-1]
-            for m in range(start, size):
-                fact *= m
-                b = (-1) ** m * self.bernoulli[m] / fact
-                pairs.append((b.numerator, b.denominator))
-                last = lcm(last, b.denominator)
-                lcms.append(last)
-                facts.append(fact)
-            self.factorials.extend(facts)
-            self.lcms.extend(lcms)
-            self.pairs.extend(pairs)
+                self.extend(islice(self._steps, max(0, n + 1 - len(self))))
 
 
-# The true Bernoulli numbers, shared by every table whose prefix agrees with them.
-_HONEST = _Weights([Fraction(1)])
+# m! for m = 0, 1, ...
+_FACTORIALS = _Store(accumulate(count(1), mul, initial=1))
+
+
+def _weight_terms(bernoulli: list[Fraction]) -> Iterator[tuple[Fraction, tuple[int, int], int]]:
+    """(B_m, b_m, the lcm of the denominators of b_0..b_m) for m = 0, 1, ...
+
+    B_m continues the prefix ``bernoulli``, which the generator owns, by
+    ``extend_bernoulli``, so an overridden prefix extends consistently
+    from itself; b_m = (-1)^m B_m / m! is the Toeplitz weight, as
+    (numerator, denominator), and the lcm scales b_0..b_m to integers.
+    """
+    last = 1
+    for m in count():
+        extend_bernoulli(bernoulli, m)
+        _FACTORIALS.upto(m)
+        b = (-1) ** m * bernoulli[m] / _FACTORIALS[m]
+        last = lcm(last, b.denominator)
+        yield bernoulli[m], (b.numerator, b.denominator), last
+
+
+# The true Bernoulli weights, shared by every table whose prefix agrees with them.
+_HONEST = _Store(_weight_terms([Fraction(1)]))
 
 
 def _surjection_rows() -> Iterator[list[int]]:
@@ -193,25 +197,11 @@ def _surjection_rows() -> Iterator[list[int]]:
 
 
 # The closed route's inputs, shared by every honest table, the identity pass,
-# generating_polynomial and the binomial-moment conversions, and kept for the
-# life of the process:
+# generating_polynomial and the binomial-moment conversions:
 # _RISING[d] holds the coefficients of (t+1)...(t+d), t^0 first, and
-# _SURJECTIONS[j] holds S2(j, l) * l! for l = 0..j.  Each list grows only
-# under the lock, by the next steps of its one running recurrence, and only
-# by appending, so a reader may use any entry it sees.
-_RISING: list[list[int]] = []
-_SURJECTIONS: list[list[int]] = []
-_RISING_STEPS = (e[::-1] for e in _symmetric_expansions(count(1)))
-_SURJECTION_STEPS = _surjection_rows()
-_CLOSED_LOCK = threading.Lock()
-
-
-def _grow_closed(depth: int, j: int) -> None:
-    """Make _RISING[0..depth] and _SURJECTIONS[0..j] available."""
-    if len(_RISING) <= depth or len(_SURJECTIONS) <= j:
-        with _CLOSED_LOCK:
-            _RISING.extend(islice(_RISING_STEPS, max(0, depth + 1 - len(_RISING))))
-            _SURJECTIONS.extend(islice(_SURJECTION_STEPS, max(0, j + 1 - len(_SURJECTIONS))))
+# _SURJECTIONS[j] holds S2(j, l) * l! for l = 0..j.
+_RISING = _Store(e[::-1] for e in _symmetric_expansions(count(1)))
+_SURJECTIONS = _Store(_surjection_rows())
 
 
 def _binomial_moments(scaled: Sequence[int], common: int) -> tuple[list[int], int]:
@@ -227,7 +217,7 @@ def _binomial_moments(scaled: Sequence[int], common: int) -> tuple[list[int], in
     and Q^n gives [n, -1] over 1.  O(n^2) multiply-adds.
     """
     n = len(scaled)
-    _grow_closed(n - 1, 0)
+    _RISING.upto(n - 1)
     # (-1)^k * rho_k, so that moment l sums the unsigned _RISING[l-1] against it.
     alternating = [-r if k % 2 else r for k, r in enumerate(scaled, 1)]
     nums, scale = [], 1
@@ -267,7 +257,7 @@ def _power_sums(moments: Sequence[int], top: int) -> list[int]:
     sum stops at the last stored moment, so its trailing zeros cost
     nothing.
     """
-    _grow_closed(0, top)
+    _SURJECTIONS.upto(top)
     # S2(k, 0) = 0 for k >= 1 meets the padding.
     padded = [0, *moments]
     return [sum(map(mul, _SURJECTIONS[k], padded)) for k in range(1, top + 1)]
@@ -339,16 +329,17 @@ class CoeffTable:
     repeated reads return the same objects.
 
     The true Bernoulli numbers and their weights are computed once per
-    process, in a shared store, and so are the closed route's inputs.  A
-    table whose prefix agrees with the true Bernoulli numbers reads it,
-    and so does ``bernoulli_number`` of a table without a prefix; a
-    table with an overridden prefix keeps private ones, extended lazily
-    and consistently from the override, and never writes into the shared
-    store.  Entries never change once
-    computed, so threads may share a table for reads of rows that
-    already exist; growing a column of one table is not thread-safe.
-    Tables in different threads may grow their columns at once: the
-    shared stores grow under locks.
+    process, in the shared store ``_HONEST``, and so are the factorials
+    and the closed route's inputs.  A table whose prefix agrees with the
+    true Bernoulli numbers reads ``_HONEST``, and so does
+    ``bernoulli_number`` of a table without a prefix; a table with an
+    overridden prefix keeps a private store, extended lazily and
+    consistently from the override, and never writes into the shared
+    one.  Entries never change once computed, so threads may share a
+    table for reads of rows that already exist; growing a column of one
+    table is not thread-safe.  Tables in different threads may grow
+    their columns at once: each shared store grows under its own lock
+    (see ``_Store``).
     """
 
     def __init__(self, bernoulli: Sequence[Fraction] | None = None):
@@ -361,7 +352,7 @@ class CoeffTable:
                 raise ValueError("B_0 must be 1")
             # A prefix that agrees with the true Bernoulli numbers reads the shared store.
             if prefix != extend_bernoulli([Fraction(1)], len(prefix) - 1):
-                self._weights = _Weights(prefix)
+                self._weights = _Store(_weight_terms(prefix))
         # Per j, the rows (0, j), (1, j), ... as (numerators, common denominator);
         # a closed column holds None at the depths not read yet.
         self._columns: dict[int, list[tuple[list[int], int] | None]] = {}
@@ -369,7 +360,8 @@ class CoeffTable:
         self._fractions: dict[tuple[int, int], list[Fraction]] = {}
 
     def bernoulli_number(self, m: int) -> Fraction:
-        return self._weights.bernoulli_number(m)
+        self._weights.upto(m)
+        return self._weights[m][0]
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         _check_indices(i, j)
@@ -432,8 +424,8 @@ class CoeffTable:
             row = column[i] = _generating_numerators(i, j)
             return row
         weights = self._weights
-        weights.grow(i + j)
-        pairs, lcms, facts = weights.pairs, weights.lcms, weights.factorials
+        # Growing the weights grows _FACTORIALS at least as far.
+        weights.upto(i + j - 1)
         # (i+j)!/k! at position k - 1, the first being (i+j)!.
         to_hat = list(accumulate(range(i + j, 1, -1), mul, initial=1))[::-1]
         for depth in range(len(column), i + 1):
@@ -441,9 +433,9 @@ class CoeffTable:
             # prev holds l = 1..top; times l! it is c(depth-1, j, l) over
             # prev_den * j!.  Row entry k sums c(depth-1, j, l) * b_{l+1-k}.
             top = depth - 1 + j
-            scale = lcms[top]
-            w = [num * (scale // den) for num, den in pairs[: top + 1]]
-            prev = list(map(mul, prev, islice(facts, 1, None)))
+            scale = weights[top][2]
+            w = [num * (scale // den) for _, (num, den), _ in weights[: top + 1]]
+            prev = list(map(mul, prev, islice(_FACTORIALS, 1, None)))
             nums = [sum(map(mul, prev, w[1:]))]
             nums += [sum(map(mul, prev[start:], w)) for start in range(top)]
             # Entry k is c(depth, j, k) over prev_den * j! * scale; times
@@ -637,7 +629,9 @@ def _generating_numerators(i: int, j: int) -> tuple[list[int], int]:
     operations, so a row of j = 1, 2 costs O(i).  No earlier row is
     needed.
     """
-    _grow_closed(i, j)
+    if len(_RISING) <= i or len(_SURJECTIONS) <= j:
+        _RISING.upto(i)
+        _SURJECTIONS.upto(j)
     shifted, surjections = _RISING[i], _SURJECTIONS[j]
     g, scale = [surjections[j]], 1
     for l in range(j - 1, 0, -1):
@@ -740,27 +734,29 @@ def _compare(
 class _IdentityPass:
     """What every depth of one identity run shares, built once up to n = top.
 
-    Holds the factorials through top, the composition rows n! * S(k, n)
-    for n <= top, and the outcome of the composition/symmetric identity
+    Holds the composition rows n! * S(k, n) for n <= top and the outcome
+    of the composition/symmetric identity
     n! * S(k, n) == k! * e_{n-k}(1, ..., n-1) at every 1 <= k <= n <= top,
     each (k, n) compared once.  The values e_{n-k}(1, ..., n-1) are the
     coefficients of (t+1)...(t+n-1), read from the process-wide store
-    ``_RISING`` that the generating polynomials also read.  ``report(i)``
+    ``_RISING`` that the generating polynomials also read, and the
+    factorials through top are read from ``_FACTORIALS``.  ``report(i)``
     for i <= top - 2 and ``symmetric_check(n)`` for n <= top only read
     them and the table's integer rows, so a run over all depths is
-    O(top^3) exact operations besides the coefficient table.  Every route is an integer row
-    (numerators, denominator) and every comparison goes through
-    ``_compare``, so a Fraction is built only inside a discrepancy.
+    O(top^3) exact operations besides the coefficient table.  Every
+    route is an integer row (numerators, denominator) and every
+    comparison goes through ``_compare``, so a Fraction is built only
+    inside a discrepancy.
     """
 
     def __init__(self, top: int):
-        self.factorials = list(accumulate(range(1, top + 1), mul, initial=1))
+        _FACTORIALS.upto(top)
         self.rows = _composition_rows(top)
-        _grow_closed(top - 1, 0)
+        _RISING.upto(top - 1)
         self._symmetric: list[Discrepancy] = []
         # _symmetric_upto[n]: the number of discrepancies at sizes <= n.
         self._symmetric_upto = [0]
-        facts = self.factorials
+        facts = _FACTORIALS
         for n in range(1, top + 1):
             symmetric = list(map(mul, islice(facts, 1, None), _RISING[n - 1]))
             where = f"(k,n)=({{}},{n})"
@@ -774,7 +770,7 @@ class _IdentityPass:
 
     def report(self, i: int, table: CoeffTable) -> IdentityReport:
         """Every identity at depth i, the symmetric one through n = i + 2."""
-        facts = self.factorials
+        facts = _FACTORIALS
         # The table's rows c^(i, j, k) = c(i, j, k) * j!/k!.  Over den * j!
         # they are c(i, j, k)/k!, the t^k coefficients of
         # sum_k c(i, j, k) t^k / k!; times k! they are c(i, j, k), the basis
@@ -783,7 +779,7 @@ class _IdentityPass:
         for j in (1, 2):
             nums, den = table._row(i, j)
             series[j] = nums, den * facts[j]
-            recursion[j] = [a * facts[k] for k, a in enumerate(nums, 1)], den * facts[j]
+            recursion[j] = list(map(mul, nums, islice(facts, 1, None))), den * facts[j]
         at_k = {j: f"(i,j,k)=({i},{j},{{}})" for j in (1, 2)}
         checks: list[IdentityCheck] = []
         for j in (1, 2):

@@ -78,7 +78,15 @@ class _Gate:
     (a keyword of ``check_hypotheses``) adds ``asserted``.  The
     certificate asserts the t2 bound at every level when
     ``t2_every_level``, else only while i + 1 < m, and strictly (> 1)
-    when ``t2_strict``.
+    when ``t2_strict``.  With ``c1_aside`` the certificate's c1 keeps
+    its top descent term aside.
+
+    The thresholds at level m are the power sums of a threshold
+    manifold: total = slope*m + base Chern roots 1, less one root 2 when
+    ``dyadic`` (P^m, Q^{2m-1} and Q^{2m} for the three gates).  Member n
+    of its chain has r_1 = total - 2*delta - n*(1 + delta), where delta
+    is 1 when ``dyadic`` and 0 otherwise; the certificate's closed forms
+    are read from these.
     """
 
     slope: int
@@ -89,6 +97,7 @@ class _Gate:
     asserted: str
     t2_every_level: bool
     t2_strict: bool
+    c1_aside: bool
 
     def offset(self, k: int) -> int:
         return self.base - 2**k if self.dyadic else self.base
@@ -105,19 +114,19 @@ _THM5_CONCLUSIONS = frozenset(
     {N_UPPER_GE_M, COVERED_BY_RATIONAL_M_FOLDS, COVERED_BY_PROJECTIVE_M_MINUS_1}
 )
 # Fields in order: slope, base, dyadic, conclusions, assertion, asserted,
-# t2_every_level, t2_strict.
+# t2_every_level, t2_strict, c1_aside.
 _GATES = {
     THM4: _Gate(
         1, 1, False, frozenset({N_LOWER_GE_M, COVERED_BY_RATIONAL_M_FOLDS}),
-        "degree_one_cover", COVERED_BY_PROJECTIVE_M, True, True,
+        "degree_one_cover", COVERED_BY_PROJECTIVE_M, True, True, True,
     ),
     THM5: _Gate(
         2, 1, True, _THM5_CONCLUSIONS,
-        "all_families_degree_one", N_LOWER_GE_M, False, True,
+        "all_families_degree_one", N_LOWER_GE_M, False, True, False,
     ),
     THM5_STRONG: _Gate(
         2, 2, True, _THM5_CONCLUSIONS | {COVERED_BY_PROJECTIVE_M},
-        "all_families_degree_one", N_LOWER_GE_M, True, False,
+        "all_families_degree_one", N_LOWER_GE_M, True, False, False,
     ),
 }
 
@@ -353,6 +362,11 @@ def proof_trace(
     the threshold inputs, or of the vector's own scalars when
     ``at_actual``, and is checked against its closed form in the gate's
     total slope*m + base (m+1 for thm4, 2m+1 or 2m+2 for the thm5 pair).
+    The closed forms are the threshold manifold's (see ``_Gate``): with
+    r_1(n) the first Chern scalar of its chain's member n and delta = 1
+    for a dyadic gate, level i has dimension bound r_1(i-1) - 2, t2
+    bound (r_1(i-1) - 2*delta)/2 and c1 margin r_1(i), less
+    total/(i+1)! when c1 keeps its top descent term aside.
     The inputs enter as power sums k! * x_k over one common denominator,
     once per certificate; at the thresholds (slope*m + offset(k))/k!
     these are the integers slope*m + offset(k), over the denominator 1.
@@ -380,6 +394,11 @@ def proof_trace(
         scaled = [gate.scaled_threshold(m, k) for k in range(1, m + 1)]
         common = 1
     total = gate.slope * m + gate.base
+    delta = 1 if gate.dyadic else 0
+    # The top descent term kept aside is a positive class on its own, so
+    # positivity only needs the remaining sum, which reads the first i
+    # inputs (a missing one counts as zero); its closed value is total/(i+1)!.
+    aside = gate.c1_aside
 
     levels = []
     fact = 1  # (i+1)!
@@ -388,19 +407,13 @@ def proof_trace(
         n, d = tab._descended(i - 1, 1, scaled, common)
         dim_full = (n - 2 * d, d)
         t2_full = tab._descended(i - 1, 2, scaled, common)
-        if theorem == THM4:
-            # c1 keeps the top descent term aside: it is a positive class
-            # on its own, so positivity only needs the remaining sum, which
-            # reads the first i inputs (a missing one counts as zero).
-            c1_full = tab._descended(i, 1, scaled[:i], common)
-            # m - i, -i + (1 - 1/(i+1)!) * (m+1) and (m - i + 2)/2.
-            dim_closed = (total - i - 1, 1)
-            c1_closed = (fact * (total - i) - total, fact)
-            t2_closed = (total - i + 1, 2)
-        else:
-            c1_full = tab._descended(i, 1, scaled, common)
-            dim_closed = c1_closed = (total - 2 * i - 2, 1)
-            t2_closed = (total - 2 * i - 2, 2)
+        c1_full = tab._descended(i, 1, scaled[:i] if aside else scaled, common)
+        # r_1 of the threshold manifold's chain members i - 1 and i.
+        before = total - 2 * delta - (i - 1) * (1 + delta)
+        after = before - 1 - delta
+        dim_closed = (before - 2, 1)
+        c1_closed = (fact * after - total, fact) if aside else (after, 1)
+        t2_closed = (before - 2 * delta, 2)
         t2_asserted = gate.t2_every_level or i + 1 < m
 
         dim_bound = _certify(i, "dim_bound", dim_full, dim_closed, at_actual)

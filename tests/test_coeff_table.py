@@ -7,10 +7,12 @@ import itertools
 import random
 import re
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -305,12 +307,24 @@ def test_empty_bernoulli_prefix_is_refused():
         CoeffTable([])
 
 
+def _fresh_honest_weights(monkeypatch):
+    """A fresh shared weight store in place of ``coeffs._HONEST``, returned."""
+    store = coeffs._Store(coeffs._weight_terms([Fraction(1)]))
+    monkeypatch.setattr(coeffs, "_HONEST", store)
+    return store
+
+
+def _weight_pairs(bernoulli):
+    """b_m = (-1)^m B_m / m! as (numerator, denominator), written out."""
+    return [((-1) ** m * b / factorial(m)).as_integer_ratio() for m, b in enumerate(bernoulli)]
+
+
 def test_honest_tables_leave_the_shared_weights_alone(monkeypatch):
-    monkeypatch.setattr(coeffs, "_HONEST", coeffs._Weights([Fraction(1)]))
+    store = _fresh_honest_weights(monkeypatch)
     table = CoeffTable()
     for j in range(1, 13):
         table.coefficient(30, j, 1)
-    assert coeffs._HONEST.bernoulli == [1] and coeffs._HONEST.pairs == [(1, 1)]
+    assert store == []
 
 
 def test_cold_degree_one_constant_term_at_depth_300():
@@ -319,26 +333,30 @@ def test_cold_degree_one_constant_term_at_depth_300():
 
 def test_override_tables_leave_the_shared_weights_alone(monkeypatch):
     # A fresh shared store, so the flipped table grows past everything in it.
-    monkeypatch.setattr(coeffs, "_HONEST", coeffs._Weights([Fraction(1)]))
+    store = _fresh_honest_weights(monkeypatch)
     flipped = CoeffTable(_flipped_seed())
     for j in (1, 2, 5):
         flipped.coefficient(40, j, 1)
     assert flipped.bernoulli_number(50) != bernoulli_table(50)[50]
-    assert coeffs._HONEST.bernoulli == [1] and coeffs._HONEST.pairs == [(1, 1)]
+    assert store == []
+    # The override's private store extends the flipped prefix from itself.
+    assert [b for b, _, _ in flipped._weights] == extend_bernoulli(_flipped_seed(), 50)
     honest = CoeffTable([Fraction(1)])
     honest.coefficient(40, 5, 1)
     expected = bernoulli_table(50)
+    assert [pair for _, pair, _ in store] == _weight_pairs(expected[:45])
     assert [honest.bernoulli_number(m) for m in range(51)] == expected
-    assert coeffs._HONEST.pairs == [
-        ((-1) ** m * b / factorial(m)).as_integer_ratio() for m, b in enumerate(expected[:45])
-    ]
+    assert [b for b, _, _ in store] == expected
+    assert [pair for _, pair, _ in store] == _weight_pairs(expected)
 
 
 def test_tables_in_threads_grow_the_shared_weights_consistently(monkeypatch):
     # More threads than cores and a short switch interval, so the growth of
     # the shared store interleaves; a lost or doubled update breaks the
     # lengths or the values checked below.
-    monkeypatch.setattr(coeffs, "_HONEST", coeffs._Weights([Fraction(1)]))
+    store = _fresh_honest_weights(monkeypatch)
+    factorials = coeffs._Store(accumulate(itertools.count(1), mul, initial=1))
+    monkeypatch.setattr(coeffs, "_FACTORIALS", factorials)
     depths = list(range(1, 41))
     random.Random(5).shuffle(depths)
     interval = sys.getswitchinterval()
@@ -355,13 +373,12 @@ def test_tables_in_threads_grow_the_shared_weights_consistently(monkeypatch):
     # The closed route reads no Bernoulli number, so it is an independent reference.
     reference = CoeffTable()
     assert rows == [reference.coefficient(i, 4, 1) for i in depths]
-    store = coeffs._HONEST
-    assert store.bernoulli == bernoulli_table(len(store.bernoulli) - 1)
-    assert len(store.pairs) == len(store.lcms) == 44
-    assert store.pairs == [
-        ((-1) ** m * b / factorial(m)).as_integer_ratio() for m, b in enumerate(bernoulli_table(43))
-    ]
-    assert store.lcms == list(accumulate((den for _, den in store.pairs), lcm))
+    assert len(store) == len(factorials) == 44
+    assert [b for b, _, _ in store] == bernoulli_table(43)
+    pairs = _weight_pairs(bernoulli_table(43))
+    assert [pair for _, pair, _ in store] == pairs
+    assert [last for _, _, last in store] == list(accumulate((den for _, den in pairs), lcm))
+    assert factorials == [factorial(m) for m in range(44)]
 
 
 def test_closed_rows_read_out_of_order_equal_rows_read_in_order():
@@ -416,11 +433,9 @@ def test_honest_tables_in_threads_grow_the_shared_closed_inputs_consistently(mon
     # Fresh shared inputs, more threads than cores and a short switch
     # interval, so their growth interleaves; a lost or doubled step, or
     # two threads advancing one recurrence at once, breaks the checks below.
-    monkeypatch.setattr(coeffs, "_RISING", [])
-    monkeypatch.setattr(coeffs, "_SURJECTIONS", [])
     steps = coeffs._symmetric_expansions(itertools.count(1))
-    monkeypatch.setattr(coeffs, "_RISING_STEPS", (e[::-1] for e in steps))
-    monkeypatch.setattr(coeffs, "_SURJECTION_STEPS", coeffs._surjection_rows())
+    monkeypatch.setattr(coeffs, "_RISING", coeffs._Store(e[::-1] for e in steps))
+    monkeypatch.setattr(coeffs, "_SURJECTIONS", coeffs._Store(coeffs._surjection_rows()))
     pairs = [(i, j) for i in range(1, 41) for j in (1, 2, 5, 9)]
     random.Random(5).shuffle(pairs)
     interval = sys.getswitchinterval()
@@ -437,14 +452,72 @@ def test_honest_tables_in_threads_grow_the_shared_closed_inputs_consistently(mon
     # The Toeplitz route reads neither input, so it is an independent reference.
     reference = CoeffTable([Fraction(1)])
     assert values == [reference.coefficient(i, j, 1) for i, j in pairs]
-    rising = [[1]]
-    for d in range(1, 41):
-        # (t+1)...(t+d), t^0 first, one factor t + d at a time.
-        rising.append([d * a + b for a, b in zip([*rising[-1], 0], [0, *rising[-1]])])
-    assert coeffs._RISING == rising
+    assert coeffs._RISING == _rising_products(40)
     assert coeffs._SURJECTIONS == [
         [_stirling2(j, l) * factorial(l) for l in range(j + 1)] for j in range(10)
     ]
+
+
+def _rising_products(depth):
+    """(t+1)...(t+d), t^0 first, for d = 0..depth, one factor t + d at a time."""
+    rising = [[1]]
+    for d in range(1, depth + 1):
+        rising.append([d * a + b for a, b in zip([*rising[-1], 0], [0, *rising[-1]])])
+    return rising
+
+
+def _counted(steps, produced):
+    """``steps``, recording each term it yields and handing the GIL over mid-step."""
+    for term in steps:
+        produced.append(term)
+        time.sleep(0)
+        yield term
+
+
+def test_each_store_advances_its_recurrence_once_per_term_under_contention():
+    # Four fresh stores on the recurrences the module keeps, read by more
+    # threads than cores at seeded depths.  A step interleaved with another
+    # thread's raises "generator already executing"; a lost or doubled step
+    # breaks the counts or the values checked below.
+    steps = {
+        "weights": coeffs._weight_terms([Fraction(1)]),
+        "factorials": accumulate(itertools.count(1), mul, initial=1),
+        "rising": (e[::-1] for e in coeffs._symmetric_expansions(itertools.count(1))),
+        "surjections": coeffs._surjection_rows(),
+    }
+    produced = {name: [] for name in steps}
+    stores = {name: coeffs._Store(_counted(steps[name], produced[name])) for name in steps}
+    rng = random.Random(7)
+    reads = [(name, rng.randrange(60)) for _ in range(100) for name in stores]
+
+    def read(name, n):
+        stores[name].upto(n)
+        return stores[name][n]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(read, name, n) for name, n in reads]
+            values = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for name, store in stores.items():
+        deepest = max(n for other, n in reads if other == name)
+        assert len(store) == len(produced[name]) == deepest + 1, name
+        assert all(a is b for a, b in zip(store, produced[name])), name
+    pairs = _weight_pairs(bernoulli_table(59))
+    lcms = accumulate((den for _, den in pairs), lcm)
+    reference = {
+        "weights": list(zip(bernoulli_table(59), pairs, lcms)),
+        "factorials": [factorial(m) for m in range(60)],
+        "rising": _rising_products(59),
+        "surjections": [
+            [_stirling2(j, l) * factorial(l) for l in range(j + 1)] for j in range(60)
+        ],
+    }
+    for (name, n), value in zip(reads, values):
+        assert value == reference[name][n], (name, n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -102,35 +102,51 @@ def test_scaling_parent_src_alternates_in_one_record(tmp_path):
     assert runs["change"]["alternated"] and runs["parent"]["alternated"]
 
 
-# Measures a child that fills 48 MB, one that prints 48 MB and one that
-# does nothing, from a fresh interpreter: a child's peak also counts the
-# memory of the process it was started from, which in the test process is
-# far above the script's.
+# Measures each child given in argv[4] (a JSON list of -c codes) once,
+# from a fresh driver that first fills argv[3] MB of its own.
 _PEAKS = (
     "import importlib.util, json, sys\n"
+    "ballast = bytes([1]) * (int(sys.argv[3]) << 20)\n"
     "spec = importlib.util.spec_from_file_location('scaling', sys.argv[1])\n"
     "scaling = importlib.util.module_from_spec(spec)\n"
     "spec.loader.exec_module(scaling)\n"
     "src = {'x': sys.argv[2]}\n"
-    "codes = ['x = bytes([1]) * (48 << 20)', 'import sys\\n'\n"
-    "         'for _ in range(48): sys.stdout.buffer.write(bytes(1 << 20))', 'pass']\n"
+    "codes = json.loads(sys.argv[4])\n"
     "print(json.dumps([scaling.measure(src, ['-c', c], 1)['x'] for c in codes]))\n"
 )
 
 
-def test_peak_rss_is_each_childs_own():
-    # Each later peak is that child's own, not the largest of every child so far.
+def _peaks(ballast_mb: int, codes: list[str]) -> list[dict]:
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAKS, str(SCRIPT), str(SRC)], capture_output=True, text=True
+        [sys.executable, "-c", _PEAKS, str(SCRIPT), str(SRC), str(ballast_mb), json.dumps(codes)],
+        capture_output=True,
+        text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    big, printer, small = json.loads(proc.stdout)
-    assert big["exit_codes"] == printer["exit_codes"] == small["exit_codes"] == [0]
+    summaries = json.loads(proc.stdout)
+    assert [s["exit_codes"] for s in summaries] == [[0]] * len(codes)
+    return summaries
+
+
+def test_peak_rss_is_each_childs_own():
+    # A child that fills 48 MB, one that prints 48 MB and one that does
+    # nothing: each later peak is that child's own, not the largest of
+    # every child so far.
+    big, printer, small = _peaks(0, [
+        "x = bytes([1]) * (48 << 20)",
+        "import sys\nfor _ in range(48): sys.stdout.buffer.write(bytes(1 << 20))",
+        "pass",
+    ])
     assert big["peak_rss_mb"][0] > 48
     # The 48 MB of output are hashed as they come, never held by the script.
     assert printer["report_sha256"] == hashlib.sha256(bytes(48 << 20)).hexdigest()
     assert printer["peak_rss_mb"][0] < big["peak_rss_mb"][0] - 32
     assert small["peak_rss_mb"][0] < big["peak_rss_mb"][0] - 32
+    # From a driver holding 40 MB: a reading that counted the memory the
+    # child was started from (ru_maxrss on Linux) would stay above 40 MB.
+    small, thirty = _peaks(40, ["pass", "x = bytes([1]) * (30 << 20)"])
+    assert small["peak_rss_mb"][0] < 32
+    assert 30 < thirty["peak_rss_mb"][0] < small["peak_rss_mb"][0] + 35
 
 
 def test_scaling_parent_label_is_reserved_with_parent_src(tmp_path):

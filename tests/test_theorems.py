@@ -7,7 +7,15 @@ from math import factorial
 import pytest
 
 from fanodescent.coeffs import CoeffTable
-from fanodescent.descent import SplitChernVector, projective_space, quadric
+from fanodescent.descent import (
+    INSUFFICIENT_DATA,
+    NEGATIVE_DIMENSION,
+    NonIntegralDimensionError,
+    SplitChernVector,
+    descend_chain,
+    projective_space,
+    quadric,
+)
 from fanodescent.exact import bernoulli_table
 from fanodescent.theorems import (
     _GATES,
@@ -194,6 +202,37 @@ def test_max_m_equals_brute_force_scan(theorem):
         seen.add("none" if expected == 0 else "all" if expected == v.dim else "some")
     # the sample reaches all three outcomes: no, some and every level passes
     assert seen == {"none", "some", "all"}
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_passing_levels_agree_with_the_walked_chain(theorem):
+    # A gate passing at m claims the chain reaches depth m.  Walk the
+    # all-ones chain: a determined N must be >= m, and a walk cut short
+    # before m steps may only have run out of scalars or, for the thm5
+    # pair, of degree-1 families (a conic needs a degree-2 step).
+    vectors = [
+        *random_gate_vectors(theorem, 2000, seed=5),
+        *(projective_space(n).vector for n in range(1, 31)),
+        *(quadric(n).vector for n in range(1, 31)),
+    ]
+    cut_short = {INSUFFICIENT_DATA} if theorem == THM4 else {INSUFFICIENT_DATA, NEGATIVE_DIMENSION}
+    determined = short = 0
+    for v in vectors:
+        m = max_m(v, theorem)
+        if m < 1:
+            continue
+        try:
+            chain = descend_chain(v)
+        except NonIntegralDimensionError:
+            continue
+        if chain.n_first_non_fano is not None:
+            determined += 1
+            assert chain.n_first_non_fano >= m, (v, m, chain.terminal)
+        if len(chain.steps) < m:
+            short += 1
+            assert chain.terminal in cut_short, (v, m, chain.terminal)
+    # Both kinds of walk occur, so neither assertion is vacuous.
+    assert determined and short, (determined, short)
 
 
 def test_max_m_never_runs_the_gate_check(monkeypatch):

@@ -8,7 +8,9 @@ case runs ``descend_direct(P^n, n // 3)`` on a cold table through
 runs ``proof_trace_thm4(P^m, m)`` on a fresh table for m = 2..24, the
 given number of passes, in one process, and prints the last pass's
 certificates.  The record holds the wall time and the peak resident set
-size of every process, their medians and the sha256 of the output.  The
+size of every process, their medians and the sha256 of the output.  A
+peak is the process's own high-water mark (``VmHWM``), which it writes
+at exit to a pipe it inherits, so its stdout is what the case prints.  The
 hash shows whether two sources give byte-identical output; a case whose
 runs disagree, or that exits non-zero, makes the script exit 1.
 
@@ -145,33 +147,67 @@ def measure(sources: dict[str, Path], argv: list[str], repeats: int) -> dict[str
     for repeat in range(repeats):
         for label, src in order if repeat % 2 == 0 else order[::-1]:
             env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
-            for values, value in zip(runs[label], _run_child([sys.executable, *argv], env)):
+            for values, value in zip(runs[label], _run_child(argv, env)):
                 values.append(value)
     return {label: _summary(argv, *run) for label, run in runs.items()}
+
+
+# Runs a case's interpreter arguments (-m MODULE ... or -c CODE ...), given
+# after the descriptor argv[1], once an exit hook is registered that writes
+# this process's own peak resident set, VmHWM in KiB, to that descriptor.
+# Nothing is written where /proc is missing.
+_PEAK_HOOK = (
+    "import atexit, os, runpy, sys\n"
+    "def peak(fd=int(sys.argv[1])):\n"
+    "    try:\n"
+    "        with open('/proc/self/status') as status:\n"
+    "            line = next(l for l in status if l.startswith('VmHWM:'))\n"
+    "        os.write(fd, line.split()[1].encode())\n"
+    "    except (OSError, StopIteration):\n"
+    "        pass\n"
+    "atexit.register(peak)\n"
+    "flag, target, *rest = sys.argv[2:]\n"
+    "if flag == '-m':\n"
+    "    sys.argv = [target, *rest]\n"
+    "    runpy.run_module(target, run_name='__main__', alter_sys=True)\n"
+    "else:\n"
+    "    sys.argv = ['-c', *rest]\n"
+    "    exec(compile(target, '<string>', 'exec'), {'__name__': '__main__'})\n"
+)
 
 
 def _run_child(argv: list[str], env: dict) -> tuple[float, int, str, float]:
     """(wall seconds, exit code, stdout sha256, peak RSS in MB) of one child process.
 
-    The child is reaped by ``os.wait4``, whose resource usage is that
-    child's own: the RUSAGE_CHILDREN maximum would be the largest of
-    every child so far.  ``ru_maxrss`` is in KiB on Linux, and there it
-    also counts the memory the child was started from, this script's
-    own (about 18 MB): a reading near that floor only bounds the child's
-    peak from above.  So stdout is hashed chunk by chunk and never held
-    whole, which would raise the floor for every later child.  Its
-    stderr is discarded, so that reading stdout to its end cannot block.
+    ``argv`` are the interpreter arguments, ``-m MODULE ...`` or ``-c
+    CODE ...``, which run under ``_PEAK_HOOK``.  The peak is the child's
+    own ``VmHWM``, read by the child at exit.  ``ru_maxrss`` would also
+    count the memory the child was started from, this script's own, so
+    it is used only where the child wrote no peak (no /proc); it comes
+    from ``os.wait4``, whose resource usage is that child's own, and is
+    in KiB on Linux.  stdout is hashed chunk by chunk and never held
+    whole, and stderr is discarded, so that reading stdout to its end
+    cannot block.
     """
-    start = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    digest = hashlib.sha256()
-    with proc.stdout:
-        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
-            digest.update(chunk)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
+    peak_read, peak_write = os.pipe()
+    with os.fdopen(peak_read, "rb") as peak:
+        start = time.perf_counter()
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _PEAK_HOOK, str(peak_write), *argv], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, pass_fds=(peak_write,),
+            )
+        finally:
+            os.close(peak_write)
+        digest = hashlib.sha256()
+        with proc.stdout:
+            for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+                digest.update(chunk)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        own = peak.read()
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return wall, proc.returncode, digest.hexdigest(), usage.ru_maxrss / 1024
+    return wall, proc.returncode, digest.hexdigest(), (int(own) if own else usage.ru_maxrss) / 1024
 
 
 def _summary(
