@@ -28,7 +28,7 @@ from .descent import (
     catalogue,
     descend_chain,
 )
-from .exact import bernoulli_table
+from .exact import as_rational, bernoulli_table
 from .theorems import (
     THEOREMS,
     CertificateError,
@@ -133,7 +133,7 @@ def _write_json(obj: object, out: list[str], indent: str) -> None:
 
 
 def _q(x: Fraction | int) -> str:
-    return str(Fraction(x))
+    return str(as_rational(x))
 
 
 # ASCII digits only: int() and Fraction() also take digit separators

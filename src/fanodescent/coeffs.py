@@ -55,6 +55,7 @@ between calls.
 from __future__ import annotations
 
 import threading
+from collections import UserList
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice, zip_longest
@@ -62,7 +63,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .exact import _check_int, _symmetric_expansions, as_rational, extend_bernoulli
+from .exact import _check_int, _fraction, _symmetric_expansions, as_rational, extend_bernoulli
 
 __all__ = [
     "Polynomial",
@@ -130,15 +131,17 @@ class Polynomial:
         return "Polynomial(" + " + ".join(terms) + ")"
 
 
-class _Store(list):
-    """The terms t_0, t_1, ... of one running recurrence, as a list.
+class _Store(UserList):
+    """The terms t_0, t_1, ... of one running recurrence, in the plain list ``data``.
 
     ``upto(n)`` makes t_0..t_n available: it advances the store's
     generator under the store's own lock, so two threads never step one
     recurrence at once and each term is computed once.  Terms are only
     appended, each one whole, so a reader indexes any entry it sees
-    without the lock; a hit is a length test and an index.  A generator
-    may read another store, never its own: the weights read
+    without the lock; a hit is a length test and an index.  Hot readers
+    index ``data`` itself: a plain list takes the interpreter's fast
+    subscript path, which an instance of a list subclass does not.  A
+    generator may read another store, never its own: the weights read
     ``_FACTORIALS``, which reads none.
 
     Every table ``coeffs`` keeps is one: ``_FACTORIALS``, ``_HONEST``
@@ -153,9 +156,10 @@ class _Store(list):
         self._lock = threading.Lock()
 
     def upto(self, n: int) -> None:
-        if len(self) <= n:
+        terms = self.data
+        if len(terms) <= n:
             with self._lock:
-                self.extend(islice(self._steps, max(0, n + 1 - len(self))))
+                terms.extend(islice(self._steps, max(0, n + 1 - len(terms))))
 
 
 # m! for m = 0, 1, ...
@@ -174,7 +178,7 @@ def _weight_terms(bernoulli: list[Fraction]) -> Iterator[tuple[Fraction, tuple[i
     for m in count():
         extend_bernoulli(bernoulli, m)
         _FACTORIALS.upto(m)
-        b = (-1) ** m * bernoulli[m] / _FACTORIALS[m]
+        b = (-1) ** m * bernoulli[m] / _FACTORIALS.data[m]
         last = lcm(last, b.denominator)
         yield bernoulli[m], (b.numerator, b.denominator), last
 
@@ -218,12 +222,13 @@ def _binomial_moments(scaled: Sequence[int], common: int) -> tuple[list[int], in
     """
     n = len(scaled)
     _RISING.upto(n - 1)
+    rising = _RISING.data
     # (-1)^k * rho_k, so that moment l sums the unsigned _RISING[l-1] against it.
     alternating = [-r if k % 2 else r for k, r in enumerate(scaled, 1)]
     nums, scale = [], 1
     for l in range(n, 0, -1):
         # Over the denominator n! * common: l! * lambda_l times n!/l!.
-        total = scale * sum(map(mul, _RISING[l - 1], alternating))
+        total = scale * sum(map(mul, rising[l - 1], alternating))
         nums.append(-total if l % 2 else total)
         scale *= l
     nums.reverse()
@@ -260,7 +265,7 @@ def _power_sums(moments: Sequence[int], top: int) -> list[int]:
     _SURJECTIONS.upto(top)
     # S2(k, 0) = 0 for k >= 1 meets the padding.
     padded = [0, *moments]
-    return [sum(map(mul, _SURJECTIONS[k], padded)) for k in range(1, top + 1)]
+    return [sum(map(mul, row, padded)) for row in _SURJECTIONS.data[1 : top + 1]]
 
 
 class CoeffTable:
@@ -361,7 +366,7 @@ class CoeffTable:
 
     def bernoulli_number(self, m: int) -> Fraction:
         self._weights.upto(m)
-        return self._weights[m][0]
+        return self._weights.data[m][0]
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         _check_indices(i, j)
@@ -373,7 +378,7 @@ class CoeffTable:
             # c(i, j, k) = c^(i, j, k) * k!/j!.
             den *= factorial(j)
             facts = accumulate(range(1, len(nums) + 1), mul)
-            row = self._fractions[i, j] = [Fraction(n * f, den) for n, f in zip(nums, facts)]
+            row = self._fractions[i, j] = [_fraction(n * f, den) for n, f in zip(nums, facts)]
             return row[k - 1]
 
     def dot(self, i: int, j: int, x: Sequence[Fraction]) -> Fraction:
@@ -385,7 +390,7 @@ class CoeffTable:
         against the row's integer numerators, so no Fraction is built per
         term.
         """
-        return Fraction(*self._descended(i, j, *_row_scalars(i, j, x), shifted=False))
+        return _fraction(*self._descended(i, j, *_row_scalars(i, j, x), shifted=False))
 
     def _descended(
         self, i: int, j: int, scaled: Sequence[int], common: int, shifted: bool = True
@@ -399,7 +404,7 @@ class CoeffTable:
         c(i, j, k) * x_k = c^(i, j, k) * (k! * x_k) / j!, the sum runs in
         integers against the stored row.  The result is the pair
         (numerator, denominator), denominator > 0, not reduced: a caller
-        that reports a scalar builds ``Fraction(*pair)``, one that only
+        that reports a scalar builds ``_fraction(*pair)``, one that only
         compares cross-multiplies.  The -i/j! term is left out unless
         ``shifted``.  Nothing is checked: callers pass valid indices and
         enough numerators.
@@ -423,9 +428,11 @@ class CoeffTable:
             column += [None] * (i + 1 - len(column))
             row = column[i] = _generating_numerators(i, j)
             return row
-        weights = self._weights
         # Growing the weights grows _FACTORIALS at least as far.
-        weights.upto(i + j - 1)
+        self._weights.upto(i + j - 1)
+        terms, facts = self._weights.data, _FACTORIALS.data
+        # Each weight term (B_m, b_m, lcm) unpacked once for every depth below.
+        pairs = [pair for _, pair, _ in terms[: i + j]]
         # (i+j)!/k! at position k - 1, the first being (i+j)!.
         to_hat = list(accumulate(range(i + j, 1, -1), mul, initial=1))[::-1]
         for depth in range(len(column), i + 1):
@@ -433,9 +440,9 @@ class CoeffTable:
             # prev holds l = 1..top; times l! it is c(depth-1, j, l) over
             # prev_den * j!.  Row entry k sums c(depth-1, j, l) * b_{l+1-k}.
             top = depth - 1 + j
-            scale = weights[top][2]
-            w = [num * (scale // den) for _, (num, den), _ in weights[: top + 1]]
-            prev = list(map(mul, prev, islice(_FACTORIALS, 1, None)))
+            scale = terms[top][2]
+            w = [num * (scale // den) for num, den in pairs[: top + 1]]
+            prev = list(map(mul, prev, islice(facts, 1, None)))
             nums = [sum(map(mul, prev, w[1:]))]
             nums += [sum(map(mul, prev[start:], w)) for start in range(top)]
             # Entry k is c(depth, j, k) over prev_den * j! * scale; times
@@ -578,7 +585,7 @@ def composition_sum(k: int, n: int) -> Fraction:
     rule = "composition_sum requires 1 <= k <= n"
     _check_int(k, 1, rule, (k, n))
     _check_int(n, k, rule, (k, n))
-    return Fraction(_composition_rows(n)[n][k], factorial(n))
+    return _fraction(_composition_rows(n)[n][k], factorial(n))
 
 
 def ch1_coefficient_closed(i: int, k: int) -> Fraction:
@@ -591,7 +598,7 @@ def ch1_coefficient_closed(i: int, k: int) -> Fraction:
     _check_int(i, 1, _DEPTH)
     _check_k(k, i + 1)
     nums, den = _closed_row(_composition_rows(i + 1), i, 1)
-    return Fraction(nums[k - 1], den)
+    return _fraction(nums[k - 1], den)
 
 
 def ch2_coefficient_closed(i: int, k: int) -> Fraction:
@@ -604,7 +611,7 @@ def ch2_coefficient_closed(i: int, k: int) -> Fraction:
     _check_int(i, 1, _DEPTH)
     _check_k(k, i + 2)
     nums, den = _closed_row(_composition_rows(i + 2), i, 2)
-    return Fraction(nums[k - 1], den)
+    return _fraction(nums[k - 1], den)
 
 
 def _generating_numerators(i: int, j: int) -> tuple[list[int], int]:
@@ -629,10 +636,11 @@ def _generating_numerators(i: int, j: int) -> tuple[list[int], int]:
     operations, so a row of j = 1, 2 costs O(i).  No earlier row is
     needed.
     """
-    if len(_RISING) <= i or len(_SURJECTIONS) <= j:
+    rising, surjection_rows = _RISING.data, _SURJECTIONS.data
+    if len(rising) <= i or len(surjection_rows) <= j:
         _RISING.upto(i)
         _SURJECTIONS.upto(j)
-    shifted, surjections = _RISING[i], _SURJECTIONS[j]
+    shifted, surjections = rising[i], surjection_rows[j]
     g, scale = [surjections[j]], 1
     for l in range(j - 1, 0, -1):
         # scale = (i+j)!/(i+l)!; g <- g * (t - l) + S2(j, l) l! * scale.
@@ -668,7 +676,7 @@ def generating_polynomial(i: int, j: int) -> Polynomial:
         raise ValueError(f"{rule}, got {j}")
     nums, den = _generating_numerators(i, j)
     den *= factorial(j)
-    return Polynomial([0, *(Fraction(n, den) for n in nums)])
+    return Polynomial([0, *(_fraction(n, den) for n in nums)])
 
 
 @dataclass(frozen=True)
@@ -756,9 +764,9 @@ class _IdentityPass:
         self._symmetric: list[Discrepancy] = []
         # _symmetric_upto[n]: the number of discrepancies at sizes <= n.
         self._symmetric_upto = [0]
-        facts = _FACTORIALS
+        facts, rising = _FACTORIALS.data, _RISING.data
         for n in range(1, top + 1):
-            symmetric = list(map(mul, islice(facts, 1, None), _RISING[n - 1]))
+            symmetric = list(map(mul, islice(facts, 1, None), rising[n - 1]))
             where = f"(k,n)=({{}},{n})"
             check = _compare(_SYMMETRIC, where, (symmetric, facts[n]), (self.rows[n][1:], facts[n]))
             self._symmetric += check.discrepancies
@@ -770,7 +778,7 @@ class _IdentityPass:
 
     def report(self, i: int, table: CoeffTable) -> IdentityReport:
         """Every identity at depth i, the symmetric one through n = i + 2."""
-        facts = _FACTORIALS
+        facts = _FACTORIALS.data
         # The table's rows c^(i, j, k) = c(i, j, k) * j!/k!.  Over den * j!
         # they are c(i, j, k)/k!, the t^k coefficients of
         # sum_k c(i, j, k) t^k / k!; times k! they are c(i, j, k), the basis

@@ -34,7 +34,7 @@ from .coeffs import (
     _row_scalars,
     shared_table,
 )
-from .exact import _check_int, as_rational
+from .exact import _check_int, _fraction, as_rational
 
 __all__ = [
     "DescentError",
@@ -206,7 +206,7 @@ def iterate_scalar(
     sum.
     """
     tab = table or shared_table()
-    return Fraction(*tab._descended(i, j, *_row_scalars(i, j, x)))
+    return _fraction(*tab._descended(i, j, *_row_scalars(i, j, x)))
 
 
 def _weighted(v: SplitChernVector, a: int, top: int) -> tuple[list[int], int]:
@@ -242,7 +242,7 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
         return DescentStep(a, d, None)
     tab = table or shared_table()
     scaled, common = _weighted(v, a, d + 1)
-    scalars = tuple([Fraction(*tab._descended(1, j, scaled, common)) for j in range(1, d + 1)])
+    scalars = tuple([_fraction(*tab._descended(1, j, scaled, common)) for j in range(1, d + 1)])
     return DescentStep(a, d, SplitChernVector(scalars))
 
 
@@ -277,7 +277,7 @@ def descend_direct(
                 f"no dimension-{i} iterate exists"
             )
     return SplitChernVector(
-        tuple([Fraction(*tab._descended(i, j, scaled, common)) for j in range(1, d + 1)])
+        tuple([_fraction(*tab._descended(i, j, scaled, common)) for j in range(1, d + 1)])
     )
 
 
@@ -312,7 +312,7 @@ def _moment_walk(v: SplitChernVector) -> Callable[[int], DescentStep]:
             moments, den = _binomial_moments([p * a**k for k, p in enumerate(sums, 1)], den)
         moments, dim = _pascal_step(moments, den, d), d
         facts = accumulate(range(1, d + 1), mul)
-        scalars = [Fraction(p, f * den) for p, f in zip(_power_sums(moments, d), facts)]
+        scalars = [_fraction(p, f * den) for p, f in zip(_power_sums(moments, d), facts)]
         return DescentStep(a, d, SplitChernVector(scalars))
 
     return step
@@ -404,7 +404,7 @@ class CatalogueEntry:
 def projective_space(n: int) -> CatalogueEntry:
     """P^n with r_k = (n+1)/k!; its chain drops one dimension per step."""
     _check_int(n, 1, "projective_space needs n >= 1")
-    scalars = tuple(Fraction(n + 1, factorial(k)) for k in range(1, n + 1))
+    scalars = tuple([_fraction(n + 1, factorial(k)) for k in range(1, n + 1)])
     labels = tuple(f"P^{d}" for d in range(n, 0, -1)) + ("pt",)
     return CatalogueEntry(
         name="projective_space",
@@ -427,7 +427,7 @@ def quadric(n: int) -> CatalogueEntry:
     inherited polarization, so the final step uses degree 2.
     """
     _check_int(n, 1, "quadric needs n >= 1")
-    scalars = tuple(Fraction(n + 2 - 2**k, factorial(k)) for k in range(1, n + 1))
+    scalars = tuple([_fraction(n + 2 - 2**k, factorial(k)) for k in range(1, n + 1)])
     steps = (n + 1) // 2
     degrees = (1,) * (steps - 1) + (2,) if n % 2 else (1,) * steps
     labels = tuple(f"Q^{d}" for d in range(n, 0, -2)) + ("pt",)

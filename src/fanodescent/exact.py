@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import gcd
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -42,6 +43,30 @@ def as_rational(value: Fraction | int | str) -> Fraction:
             "or a 'p/q' string"
         )
     return Fraction(value)
+
+
+_new = object.__new__
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """``Fraction(num, den)`` for ints with ``den > 0``, reduced by one gcd.
+
+    The library builds every value it reports from an integer pair it
+    computed, so the checks and type dispatch of ``Fraction(num, den)``
+    buy nothing there and cost most of the build.  The value is set
+    directly in the ``_numerator`` and ``_denominator`` slots, as
+    CPython 3.12's ``Fraction._from_coprime_ints`` does, and is the same
+    canonical Fraction.  A caller must pass ints and a positive ``den``;
+    nothing is checked.
+    """
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    value = _new(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
 
 
 def _check_int(value: int, least: int, rule: str, got: object = None) -> None:

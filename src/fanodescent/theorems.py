@@ -29,7 +29,7 @@ from math import factorial
 
 from .coeffs import CoeffTable, _over_common, shared_table
 from .descent import SplitChernVector
-from .exact import _check_int
+from .exact import _check_int, _fraction
 
 __all__ = [
     "THM4",
@@ -107,7 +107,7 @@ class _Gate:
         return self.slope * m + self.offset(k)
 
     def threshold(self, m: int, k: int) -> Fraction:
-        return Fraction(self.scaled_threshold(m, k), factorial(k))
+        return _fraction(self.scaled_threshold(m, k), factorial(k))
 
 
 _THM5_CONCLUSIONS = frozenset(
@@ -239,7 +239,7 @@ def check_hypotheses(
         bound = gate.scaled_threshold(m, k)
         # r >= bound/k!, cross-multiplied (both denominators are positive).
         passed = passed and r.numerator * fact >= bound * r.denominator
-        rows.append(MarginRow(k, Fraction(bound, fact), r))
+        rows.append(MarginRow(k, _fraction(bound, fact), r))
     per_k = tuple(rows)
     claims = {
         "degree_one_cover": degree_one_cover,
@@ -334,7 +334,7 @@ def _certify(
             f"coefficient-sum route gives {Fraction(n, d)}, "
             f"closed expression gives {Fraction(p, q)}",
         )
-    return Fraction(n, d)
+    return _fraction(n, d)
 
 
 def _require(level: int, quantity: str, value: Fraction, bound: int, strict: bool):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from fanodescent.exact import (
     Rational,
+    _fraction,
     bernoulli_table,
     binomial,
     compositions,
@@ -60,6 +63,37 @@ def test_rational_ops_match_naive_oracle(p1, q1, p2, q2):
     for res in (a + b, a - b, a * b):
         assert res.denominator > 0
         assert math.gcd(res.numerator, res.denominator) == 1
+
+
+def _fraction_cases(seed, count):
+    """Seeded (n, d): n in [-2^200, 2^200], d in [1, 2^200], with small,
+    zero, unit and shared-factor cases at every size."""
+    rng = random.Random(seed)
+    top = 2**200
+    yield from [(0, 1), (0, top), (1, 1), (-1, 1), (top, top), (-top, 1), (6, 4), (-6, 4)]
+    for _ in range(count):
+        bits = rng.choice((4, 40, 200))
+        n = rng.randint(-(2**bits), 2**bits) if rng.random() < 0.9 else 0
+        d = rng.randint(1, 2**rng.choice((4, 40, 200)))
+        if rng.random() < 0.5:
+            # A common factor, so that the gcd divides something out.
+            g = rng.randint(2, 2**rng.choice((3, 60)))
+            n, d = n * g, d * g
+        yield max(-top, min(n, top)), min(d, top)
+
+
+def test_direct_fraction_equals_the_standard_constructor():
+    for n, d in _fraction_cases(101, 3000):
+        got, want = _fraction(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert type(got.numerator) is int and type(got.denominator) is int
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want) and repr(got) == repr(want)
+        back = pickle.loads(pickle.dumps(got))
+        assert type(back) is Fraction and back == want
+        assert (back.numerator, back.denominator) == (want.numerator, want.denominator)
+        assert got + 1 == want + 1 and type(got + 1) is Fraction
 
 
 def test_rational_is_exact_fraction():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -10,9 +10,13 @@ from fanodescent.coeffs import CoeffTable
 from fanodescent.descent import (
     INSUFFICIENT_DATA,
     NEGATIVE_DIMENSION,
+    DescentError,
     NonIntegralDimensionError,
     SplitChernVector,
+    descend,
     descend_chain,
+    descend_direct,
+    iterate_scalar,
     projective_space,
     quadric,
 )
@@ -517,3 +521,79 @@ def test_trace_m_equals_one_is_trivially_positive():
     cert = proof_trace_thm4(projective_space(4).vector, 1)
     assert cert.per_level == ()
     assert cert.all_positive
+
+
+def _assert_canonical(values):
+    """Every value is a Fraction itself, in lowest terms over a positive int."""
+    for x in values:
+        assert type(x) is Fraction, x
+        n, d = x.numerator, x.denominator
+        assert type(n) is int and type(d) is int and d > 0, x
+        assert gcd(n, d) == 1, x
+
+
+def _public_results(v, table):
+    """Every Fraction the public descent, table and gate calls report on v."""
+    out = []
+    for degrees in (None, [2, 1, 1], [1, 3]):
+        try:
+            report = descend_chain(v, degrees, table)
+        except DescentError:
+            continue
+        out += [s for step in report.steps if step.descended for s in step.descended.scalars]
+    for a in (1, 2):
+        try:
+            step = descend(v, a, table)
+        except DescentError:
+            continue
+        if step.descended:
+            out += step.descended.scalars
+        for i in (1, 2, 3):
+            try:
+                out += descend_direct(v, i, a, table).scalars
+            except DescentError:
+                pass
+    tab = table or CoeffTable()
+    for i in range(v.dim):
+        for j in range(1, v.dim - i + 1):
+            out.append(iterate_scalar(v.scalars, i, j, table))
+            out.append(tab.dot(i, j, v.scalars))
+            out += [tab.coefficient(i, j, k) for k in range(1, i + j + 1)]
+    for theorem in THEOREMS:
+        for m in range(1, v.dim + 1):
+            report = check_hypotheses(v, m, theorem)
+            out += [x for row in report.per_k for x in (row.threshold, row.actual, row.margin)]
+        out += [hypothesis_threshold(theorem, v.dim, k) for k in range(1, v.dim + 1)]
+        top = max_m(v, theorem)
+        for m in range(1, top + 1):
+            for at_actual in (False, True):
+                cert = proof_trace(v, m, theorem, table, at_actual)
+                out += [
+                    x
+                    for lv in cert.per_level
+                    for x in (lv.dim_bound, lv.c1_margin, lv.t2ch2_bound)
+                ]
+    return out
+
+
+@pytest.mark.parametrize("prefix", [None, [Fraction(1)]], ids=["honest", "toeplitz"])
+def test_every_reported_value_is_a_canonical_fraction(prefix):
+    # The library builds its reported values directly in Fraction's slots;
+    # this pins that they are the same canonical Fractions on every Python
+    # the suite runs on.
+    table = None if prefix is None else CoeffTable(prefix)
+    rng = random.Random(43)
+    vectors = [entry.vector for n in range(1, 13) for entry in (projective_space(n), quadric(n))]
+    for theorem in THEOREMS:
+        for v in random_gate_vectors(theorem, 20, seed=rng.randrange(1000)):
+            vectors.append(v)
+            # An integral r_1, so that the first descent is defined.
+            r = list(v.scalars)
+            r[0] = Fraction(rng.randint(3, v.dim + 2))
+            vectors.append(SplitChernVector(r))
+    checked = 0
+    for v in vectors:
+        values = _public_results(v, table)
+        _assert_canonical(values)
+        checked += len(values)
+    assert checked > 20000
