@@ -46,8 +46,11 @@ scalar corollaries, reporting every mismatch as an exact rational
 discrepancy.  Each route yields integer rows (numerators over one common
 denominator), and every identity is one entry-by-entry comparison of two
 such rows by integer cross-multiplication; a Fraction is built only for
-a mismatch or for a public function's result.  A run over many depths
-builds what they share once.  Every route is polynomial in the depth:
+a mismatch or for a public function's result.  A result is built from
+its integer pair by ``exact._fraction(num, den)``, which needs den > 0
+and costs one gcd, without the type dispatch of ``Fraction(num, den)``;
+the Fractions of a mismatch are built the ordinary way.  A run over
+many depths builds what they share once.  Every route is polynomial in the depth:
 nothing here enumerates compositions, and the closed forms keep no cache
 between calls.
 """
@@ -63,7 +66,13 @@ from math import comb, factorial, gcd, lcm
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .exact import _check_int, _fraction, _symmetric_expansions, as_rational, extend_bernoulli
+from .exact import (
+    _check_int,
+    _fraction,
+    _symmetric_expansions,
+    as_rational,
+    extend_bernoulli,
+)
 
 __all__ = [
     "Polynomial",
@@ -321,9 +330,11 @@ class CoeffTable:
     denominator, computed once (``_over_common``); ``dot``, every
     descended scalar and every certificate bound sum a row against
     those integers into one unreduced integer pair (``_descended``),
-    which a reported value turns into one Fraction and a comparison
-    cross-multiplies, so a descended scalar costs about i + j
-    multiply-adds of a row entry by a vector entry.
+    which a reported value turns into one Fraction by
+    ``exact._fraction`` (the denominator is positive, so one gcd
+    reduces it) and a comparison cross-multiplies, so a descended
+    scalar costs about i + j multiply-adds of a row entry by a vector
+    entry.
     For the catalogue manifolds the vector's denominator is 1 and its
     entries have a few bits, so the cost lies in the row entries: row
     (1, 64) holds numerators of up to 150 bits over a 19-bit
@@ -431,8 +442,6 @@ class CoeffTable:
         # Growing the weights grows _FACTORIALS at least as far.
         self._weights.upto(i + j - 1)
         terms, facts = self._weights.data, _FACTORIALS.data
-        # Each weight term (B_m, b_m, lcm) unpacked once for every depth below.
-        pairs = [pair for _, pair, _ in terms[: i + j]]
         # (i+j)!/k! at position k - 1, the first being (i+j)!.
         to_hat = list(accumulate(range(i + j, 1, -1), mul, initial=1))[::-1]
         for depth in range(len(column), i + 1):
@@ -441,7 +450,7 @@ class CoeffTable:
             # prev_den * j!.  Row entry k sums c(depth-1, j, l) * b_{l+1-k}.
             top = depth - 1 + j
             scale = terms[top][2]
-            w = [num * (scale // den) for num, den in pairs[: top + 1]]
+            w = [num * (scale // den) for _, (num, den), _ in terms[: top + 1]]
             prev = list(map(mul, prev, islice(facts, 1, None)))
             nums = [sum(map(mul, prev, w[1:]))]
             nums += [sum(map(mul, prev[start:], w)) for start in range(top)]

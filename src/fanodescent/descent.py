@@ -203,7 +203,7 @@ def iterate_scalar(
     the powers of the first curve degree (r_k * a^k).  Depth 0 is the
     identity.  The power sums k! * x[k-1] are brought over one common
     denominator and the result is one Fraction, built from an integer
-    sum.
+    sum by ``exact._fraction`` (denominator > 0, one gcd).
     """
     tab = table or shared_table()
     return _fraction(*tab._descended(i, j, *_row_scalars(i, j, x)))
@@ -233,7 +233,8 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
     InsufficientScalarsError.  For d <= 0 the step records the dimension
     and carries no vector.  The weighted power sums k! * r_k * a^k are
     brought over one common denominator once per step (it is 1 for P^n
-    and Q^n), and each s_j is one Fraction built from an integer sum.
+    and Q^n), and each s_j is one Fraction built from an integer sum by
+    ``exact._fraction``, whose denominator j! * den * common is positive.
     """
     _check_int(a, 1, _DEGREE)
     r = v.scalars[0]
@@ -339,8 +340,10 @@ def descend_chain(
     one Pascal step, O(d), and its d scalars are read back by sums that
     stop at the last nonzero moment.  The catalogue's moments have one
     or two nonzero entries, so a walk on P^n or Q^n costs O(n^2) besides
-    one Fraction per reported scalar, where rows cost about n^3 / 6
-    multiply-adds; a dense vector still costs about n^3 / 6.  A table
+    one Fraction per reported scalar (one gcd each, by
+    ``exact._fraction``, the denominator k! * den being positive), where
+    rows cost about n^3 / 6 multiply-adds; a dense vector still costs
+    about n^3 / 6.  A table
     with a prefix is followed row by row through ``descend``, so a
     corrupted prefix is followed exactly.
     """

@@ -17,8 +17,9 @@ Gates and certificates decide in integers.  A degree passes when
 r_k.numerator * k! >= (slope*m + offset(k)) * r_k.denominator, and a
 certificate bound is an unreduced pair (numerator, denominator > 0)
 compared with its closed form and its requirement by cross-multiplying.
-One Fraction is built per reported value, and the Fractions of an
-error message only when it is raised.
+One Fraction is built per reported value, by ``exact._fraction(num,
+den)``, which needs den > 0 and reduces by one gcd, and the Fractions of
+an error message only when it is raised, the ordinary way.
 """
 
 from __future__ import annotations
