@@ -46,13 +46,11 @@ scalar corollaries, reporting every mismatch as an exact rational
 discrepancy.  Each route yields integer rows (numerators over one common
 denominator), and every identity is one entry-by-entry comparison of two
 such rows by integer cross-multiplication; a Fraction is built only for
-a mismatch or for a public function's result.  A result is built from
+a mismatch, the ordinary way, or for a public function's result, from
 its integer pair by ``exact._fraction(num, den)``, which needs den > 0
-and costs one gcd, without the type dispatch of ``Fraction(num, den)``;
-the Fractions of a mismatch are built the ordinary way.  A run over
-many depths builds what they share once.  Every route is polynomial in the depth:
-nothing here enumerates compositions, and the closed forms keep no cache
-between calls.
+and reduces by one gcd.  A run over many depths builds what they share
+once.  Every route is polynomial in the depth: nothing here enumerates
+compositions, and the closed forms keep no cache between calls.
 """
 
 from __future__ import annotations
@@ -66,13 +64,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add, mul
 from typing import Iterator, Sequence
 
-from .exact import (
-    _check_int,
-    _fraction,
-    _symmetric_expansions,
-    as_rational,
-    extend_bernoulli,
-)
+from .exact import _check_int, _fraction, _symmetric_expansions, as_rational, extend_bernoulli
 
 __all__ = [
     "Polynomial",
