@@ -341,11 +341,10 @@ def descend_chain(
     stop at the last nonzero moment.  The catalogue's moments have one
     or two nonzero entries, so a walk on P^n or Q^n costs O(n^2) besides
     one Fraction per reported scalar (one gcd each, by
-    ``exact._fraction``, the denominator k! * den being positive), where
-    rows cost about n^3 / 6 multiply-adds; a dense vector still costs
-    about n^3 / 6.  A table
-    with a prefix is followed row by row through ``descend``, so a
-    corrupted prefix is followed exactly.
+    ``exact._fraction``), where rows cost about n^3 / 6 multiply-adds; a
+    dense vector still costs about n^3 / 6.  A table with a prefix is
+    followed row by row through ``descend``, so a corrupted prefix is
+    followed exactly.
     """
     if degrees is not None:
         for a in degrees:
