@@ -83,26 +83,24 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Holder of a dense univariate polynomial's exact rational coefficients.
 
     Coefficients are stored lowest degree first and normalized so the
     leading coefficient is nonzero; the zero polynomial is the empty
-    tuple and has degree -1.  Instances are immutable.  There is no
-    arithmetic: ``generating_polynomial`` builds one from integer
-    numerators, and callers read its coefficients.
+    tuple and has degree -1.  There is no arithmetic:
+    ``generating_polynomial`` builds one from integer numerators, and
+    callers read its coefficients.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[Fraction, ...]
 
     def __init__(self, coefficients: Sequence[Fraction | int] = ()):
         coeffs = [as_rational(c) for c in coefficients]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -112,14 +110,6 @@ class Polynomial:
         """Coefficient of t^k (zero beyond the stored degree)."""
         _check_int(k, 0, "coefficient index must be >= 0")
         return self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         if not self.coeffs:

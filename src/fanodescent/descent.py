@@ -13,14 +13,21 @@ one Pascal step on them.  Two model manifold families (projective
 spaces, quadric hypersurfaces) are built in; Grassmannians are
 catalogued by chain shape only since their minimal families leave the
 scalar model.
+
+Each kind of value has one constructor.  ``_from_power_sums`` turns
+integer power sums over one denominator into a vector: the catalogue's
+vectors and every chain member read back from its moments.
+``_at_depth`` reads a depth-i iterate off coefficient rows, for
+``descend`` and ``descend_direct``.  ``_split_entry`` builds every split
+catalogue entry from its power sums, degrees and chain labels.
 """
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import factorial
 from operator import mul
 from typing import Callable, Sequence
 
@@ -84,6 +91,11 @@ class InsufficientScalarsError(DescentError):
     def __init__(self, message: str, family_dim: int):
         super().__init__(message)
         self.family_dim = family_dim
+
+    def __reduce__(self):
+        # Pickled and copied as its message and attributes, not through
+        # __init__, whose arguments are not ``args``.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -222,6 +234,27 @@ def _weighted(v: SplitChernVector, a: int, top: int) -> tuple[list[int], int]:
     return scaled, common
 
 
+def _from_power_sums(sums: list[int], den: int, label: str | None = None) -> SplitChernVector:
+    """The vector with r_k = sums[k-1] / (k! * den), k = 1..len(sums).
+
+    Each scalar is one Fraction built from its integer pair by
+    ``exact._fraction`` (den > 0, one gcd).
+    """
+    facts = accumulate(range(1, len(sums) + 1), mul)
+    return SplitChernVector(tuple([_fraction(p, f * den) for p, f in zip(sums, facts)]), label)
+
+
+def _at_depth(
+    table: CoeffTable, i: int, d: int, scaled: list[int], common: int
+) -> SplitChernVector:
+    """The depth-i iterate's d scalars s_1..s_d, from the weighted power
+    sums ``scaled`` over ``common``, each one Fraction built from the
+    table's integer pair by ``exact._fraction``."""
+    return SplitChernVector(
+        tuple([_fraction(*table._descended(i, j, scaled, common)) for j in range(1, d + 1)])
+    )
+
+
 def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> DescentStep:
     """One descent step to the minimal family of degree-a curves.
 
@@ -241,10 +274,8 @@ def descend(v: SplitChernVector, a: int, table: CoeffTable | None = None) -> Des
     d = _family_dim(r.numerator * a, r.denominator, v.dim)
     if d <= 0:
         return DescentStep(a, d, None)
-    tab = table or shared_table()
     scaled, common = _weighted(v, a, d + 1)
-    scalars = tuple([_fraction(*tab._descended(1, j, scaled, common)) for j in range(1, d + 1)])
-    return DescentStep(a, d, SplitChernVector(scalars))
+    return DescentStep(a, d, _at_depth(table or shared_table(), 1, d, scaled, common))
 
 
 def descend_direct(
@@ -277,9 +308,7 @@ def descend_direct(
                 f"chain reaches family dimension {d} at level {level}; "
                 f"no dimension-{i} iterate exists"
             )
-    return SplitChernVector(
-        tuple([_fraction(*tab._descended(i, j, scaled, common)) for j in range(1, d + 1)])
-    )
+    return _at_depth(tab, i, d, scaled, common)
 
 
 def _moment_walk(v: SplitChernVector) -> Callable[[int], DescentStep]:
@@ -312,9 +341,7 @@ def _moment_walk(v: SplitChernVector) -> Callable[[int], DescentStep]:
             sums = _power_sums(moments, d + 1)
             moments, den = _binomial_moments([p * a**k for k, p in enumerate(sums, 1)], den)
         moments, dim = _pascal_step(moments, den, d), d
-        facts = accumulate(range(1, d + 1), mul)
-        scalars = [_fraction(p, f * den) for p, f in zip(_power_sums(moments, d), facts)]
-        return DescentStep(a, d, SplitChernVector(scalars))
+        return DescentStep(a, d, _from_power_sums(_power_sums(moments, d), den))
 
     return step
 
@@ -403,22 +430,25 @@ class CatalogueEntry:
     n_upper: int
 
 
+def _split_entry(
+    name: str, n: int, sums: list[int], degrees: tuple[int, ...], members: tuple[str, ...]
+) -> CatalogueEntry:
+    """The split entry whose vector has the integer power sums ``sums``
+    and whose chain ``members`` run from the manifold down to "pt".
+
+    The manifold is labelled ``members[0]``, and N, both its lower and
+    its upper chain invariant, is the number of steps, ``len(degrees)``.
+    """
+    label, steps = members[0], len(degrees)
+    vector = _from_power_sums(sums, 1, label)
+    return CatalogueEntry(name, (n,), label, True, vector, degrees, (members,), steps, steps)
+
+
 def projective_space(n: int) -> CatalogueEntry:
     """P^n with r_k = (n+1)/k!; its chain drops one dimension per step."""
     _check_int(n, 1, "projective_space needs n >= 1")
-    scalars = tuple([_fraction(n + 1, factorial(k)) for k in range(1, n + 1)])
-    labels = tuple(f"P^{d}" for d in range(n, 0, -1)) + ("pt",)
-    return CatalogueEntry(
-        name="projective_space",
-        params=(n,),
-        label=f"P^{n}",
-        split=True,
-        vector=SplitChernVector(scalars, label=f"P^{n}"),
-        degrees=(1,) * n,
-        chains=(labels,),
-        n_lower=n,
-        n_upper=n,
-    )
+    members = tuple(f"P^{d}" for d in range(n, 0, -1)) + ("pt",)
+    return _split_entry("projective_space", n, [n + 1] * n, (1,) * n, members)
 
 
 def quadric(n: int) -> CatalogueEntry:
@@ -429,21 +459,11 @@ def quadric(n: int) -> CatalogueEntry:
     inherited polarization, so the final step uses degree 2.
     """
     _check_int(n, 1, "quadric needs n >= 1")
-    scalars = tuple([_fraction(n + 2 - 2**k, factorial(k)) for k in range(1, n + 1)])
+    sums = [n + 2 - 2**k for k in range(1, n + 1)]
     steps = (n + 1) // 2
     degrees = (1,) * (steps - 1) + (2,) if n % 2 else (1,) * steps
-    labels = tuple(f"Q^{d}" for d in range(n, 0, -2)) + ("pt",)
-    return CatalogueEntry(
-        name="quadric",
-        params=(n,),
-        label=f"Q^{n}",
-        split=True,
-        vector=SplitChernVector(scalars, label=f"Q^{n}"),
-        degrees=degrees,
-        chains=(labels,),
-        n_lower=steps,
-        n_upper=steps,
-    )
+    members = tuple(f"Q^{d}" for d in range(n, 0, -2)) + ("pt",)
+    return _split_entry("quadric", n, sums, degrees, members)
 
 
 _GRASSMANNIAN = "grassmannian needs 0 < k < m"

@@ -24,6 +24,7 @@ an error message only when it is raised, the ordinary way.
 
 from __future__ import annotations
 
+import copyreg
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -284,6 +285,11 @@ class CertificateError(Exception):
         super().__init__(f"level {level}, {quantity}: {message}")
         self.level = level
         self.quantity = quantity
+
+    def __reduce__(self):
+        # Pickled and copied as its formatted message and attributes, not
+        # through __init__, which would format the message again.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass(frozen=True)

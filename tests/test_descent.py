@@ -26,6 +26,7 @@ from fanodescent.descent import (
     INSUFFICIENT_DATA,
     NEGATIVE_DIMENSION,
     NOT_FANO,
+    CatalogueEntry,
     DescentError,
     InsufficientScalarsError,
     NonIntegralDimensionError,
@@ -420,6 +421,41 @@ def test_catalogue_quadric():
     assert odd.degrees == (1, 1, 2)
     assert odd.chains == (("Q^5", "Q^3", "Q^1", "pt"),)
     assert catalogue("quadric", [1]).degrees == (2,)
+
+
+def test_split_catalogue_entries_are_written_out():
+    # Every field of P^n and Q^n, n = 1..40, from the closed forms:
+    # r_k = (n+1)/k! and (n+2-2^k)/k!, one dimension (P) or two (Q) per
+    # step, and an odd quadric's last step a conic (degree 2).
+    for n in range(1, 41):
+        members = tuple(f"P^{d}" for d in range(n, 0, -1)) + ("pt",)
+        scalars = tuple(Fraction(n + 1, factorial(k)) for k in range(1, n + 1))
+        assert projective_space(n) == CatalogueEntry(
+            name="projective_space",
+            params=(n,),
+            label=f"P^{n}",
+            split=True,
+            vector=SplitChernVector(scalars, label=f"P^{n}"),
+            degrees=(1,) * n,
+            chains=(members,),
+            n_lower=n,
+            n_upper=n,
+        )
+        steps = (n + 1) // 2
+        members = tuple(f"Q^{d}" for d in range(n, 0, -2)) + ("pt",)
+        scalars = tuple(Fraction(n + 2 - 2**k, factorial(k)) for k in range(1, n + 1))
+        assert quadric(n) == CatalogueEntry(
+            name="quadric",
+            params=(n,),
+            label=f"Q^{n}",
+            split=True,
+            vector=SplitChernVector(scalars, label=f"Q^{n}"),
+            degrees=(1,) * (steps - 1) + ((2,) if n % 2 else (1,)),
+            chains=(members,),
+            n_lower=steps,
+            n_upper=steps,
+        )
+        assert len(members) == steps + 1
 
 
 def test_catalogue_grassmannian():

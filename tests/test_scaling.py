@@ -19,11 +19,12 @@ SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "scaling.py"
 SRC = SCRIPT.parent.parent / "src"
 
 
-def _run(out: Path, label: str, *extra: str, repeats: int = 1) -> subprocess.CompletedProcess:
+def _run(out: Path, repeats: int = 1) -> subprocess.CompletedProcess:
+    # This checkout on both sides.
     return subprocess.run(
-        [sys.executable, str(SCRIPT), "--out", str(out), "--label", label,
+        [sys.executable, str(SCRIPT), "--out", str(out), "--parent-src", str(SRC),
          "--repeats", str(repeats), "--verify", "3", "--check", "5", "--chain", "4",
-         "--direct", "6", "--certify", "1", *extra],
+         "--direct", "6", "--certify", "1"],
         capture_output=True,
         text=True,
     )
@@ -41,12 +42,15 @@ def _certificates_text() -> str:
 
 def test_scaling_record_smoke(tmp_path):
     # Small sizes and no time bound: this checks the record, not the speed.
+    # A file already at --out is replaced, not merged into.
     out = tmp_path / "bench.json"
-    assert _run(out, "first").returncode == 0
-    assert _run(out, "second").returncode == 0
+    out.write_text('{"runs": {"old": {}}, "note": 1}\n')
+    proc = _run(out)
+    assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text())
-    assert sorted(record["runs"]) == ["first", "second"]
-    run = record["runs"]["second"]
+    assert list(record) == ["runs"]
+    assert sorted(record["runs"]) == ["change", "parent"]
+    run = record["runs"]["change"]
     assert run["repeats"] == 1
     assert run["machine"]["python"]
     assert [case["name"] for case in run["cases"]] == [
@@ -75,9 +79,9 @@ def test_scaling_record_smoke(tmp_path):
     assert direct["report_sha256"] == hashlib.sha256(p4.encode()).hexdigest()
     assert certify["argv"][-1] == "1"
     assert certify["report_sha256"] == hashlib.sha256(_certificates_text().encode()).hexdigest()
-    # The second label is added beside the first, whose record is kept.
-    first = record["runs"]["first"]["cases"]
-    assert [(c["name"], c["report_sha256"]) for c in first] == [
+    # The parent side ran the same cases, with the same output.
+    parent = record["runs"]["parent"]["cases"]
+    assert [(c["name"], c["report_sha256"]) for c in parent] == [
         (c["name"], c["report_sha256"]) for c in run["cases"]
     ]
 
@@ -86,7 +90,7 @@ def test_scaling_parent_src_alternates_in_one_record(tmp_path):
     # The same source on both sides: both labels are written by one
     # invocation, every case ran on each side, and the outputs agree.
     out = tmp_path / "bench.json"
-    proc = _run(out, "change", "--parent-src", str(SRC), repeats=2)
+    proc = _run(out, repeats=2)
     assert proc.returncode == 0, proc.stderr
     runs = json.loads(out.read_text())["runs"]
     assert sorted(runs) == ["change", "parent"]
@@ -99,7 +103,6 @@ def test_scaling_parent_src_alternates_in_one_record(tmp_path):
         assert len(mine["peak_rss_mb"]) == len(theirs["peak_rss_mb"]) == 2
         assert mine["reports_identical"] and theirs["reports_identical"]
         assert mine["report_sha256"] == theirs["report_sha256"]
-    assert runs["change"]["alternated"] and runs["parent"]["alternated"]
 
 
 # Measures each child given in argv[4] (a JSON list of -c codes) once,
@@ -149,11 +152,14 @@ def test_peak_rss_is_each_childs_own():
     assert 30 < thirty["peak_rss_mb"][0] < small["peak_rss_mb"][0] + 35
 
 
-def test_scaling_parent_label_is_reserved_with_parent_src(tmp_path):
+@pytest.mark.parametrize("extra", [[], ["--label", "change", "--parent-src", str(SRC)]])
+def test_scaling_needs_parent_src_and_takes_no_label(tmp_path, capsys, extra):
+    # Every record is one parent/change pair; nothing is run otherwise.
     out = tmp_path / "bench.json"
     with pytest.raises(SystemExit) as excinfo:
-        _script().main(["--out", str(out), "--label", "parent", "--parent-src", str(SRC)])
+        _script().main(["--out", str(out), *extra])
     assert excinfo.value.code == 2
+    assert ("--label" if extra else "--parent-src") in capsys.readouterr().err
     assert not out.exists()
 
 

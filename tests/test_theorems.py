@@ -1,21 +1,26 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 
-from fanodescent.coeffs import CoeffTable
+from fanodescent.cli import RunReport
+from fanodescent.coeffs import CoeffTable, generating_polynomial, verify_identities
 from fanodescent.descent import (
     INSUFFICIENT_DATA,
     NEGATIVE_DIMENSION,
     DescentError,
+    InsufficientScalarsError,
     NonIntegralDimensionError,
     SplitChernVector,
     descend,
     descend_chain,
     descend_direct,
+    grassmannian,
     iterate_scalar,
     projective_space,
     quadric,
@@ -597,3 +602,35 @@ def test_every_reported_value_is_a_canonical_fraction(prefix):
         _assert_canonical(values)
         checked += len(values)
     assert checked > 20000
+
+
+def test_public_results_round_trip_through_pickle_and_deepcopy():
+    # Each result type and both exceptions that take extra arguments can
+    # cross a process boundary: same type, value, str and attributes.
+    q5 = quadric(5)
+    with pytest.raises(InsufficientScalarsError) as short:
+        descend(SplitChernVector((5,)), 1)
+    with pytest.raises(CertificateError) as failed:
+        proof_trace_thm4(projective_space(5).vector, 5, table=CoeffTable([1, Fraction(1, 2)]))
+    results = [
+        q5.vector,
+        descend(q5.vector, 1),
+        descend_chain(q5.vector, q5.degrees),
+        q5,
+        grassmannian(2, 5),
+        generating_polynomial(2, 1),
+        check_hypotheses(projective_space(7).vector, 7, THM4),
+        proof_trace_thm4(projective_space(7).vector, 7),
+        verify_identities(3),
+        RunReport("chain", {"n": 5}, {"n_first_non_fano": 3}, "pass", 0),
+    ]
+    for value in results:
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value)
+            assert copied == value
+            assert repr(copied) == repr(value)
+    for err, attrs in [(short.value, ["family_dim"]), (failed.value, ["level", "quantity"])]:
+        for copied in (pickle.loads(pickle.dumps(err)), copy.deepcopy(err)):
+            assert type(copied) is type(err)
+            assert str(copied) == str(err)
+            assert [getattr(copied, a) for a in attrs] == [getattr(err, a) for a in attrs]

@@ -1,29 +1,28 @@
 """Cold wall times of large runs, written to a BENCH_*.json record.
 
-Each case runs in fresh processes against the package under ``--src``:
-a CLI case runs ``python -m fanodescent ... --json`` (``verify``,
-``check`` on P^m, and ``chain`` on both P^n and Q^n), a direct-descent
-case runs ``descend_direct(P^n, n // 3)`` on a cold table through
-``python -c`` and prints the descended scalars, and a certificate case
-runs ``proof_trace_thm4(P^m, m)`` on a fresh table for m = 2..24, the
-given number of passes, in one process, and prints the last pass's
+Each case runs in fresh processes against two copies of the package, the
+one under ``--parent-src`` and the one under ``--src``: a CLI case runs
+``python -m fanodescent ... --json`` (``verify``, ``check`` on P^m, and
+``chain`` on both P^n and Q^n), a direct-descent case runs
+``descend_direct(P^n, n // 3)`` on a cold table through ``python -c``
+and prints the descended scalars, and a certificate case runs
+``proof_trace_thm4(P^m, m)`` on a fresh table for m = 2..24, the given
+number of passes, in one process, and prints the last pass's
 certificates.  The record holds the wall time and the peak resident set
 size of every process, their medians and the sha256 of the output.  A
 peak is the process's own high-water mark (``VmHWM``), which it writes
-at exit to a pipe it inherits, so its stdout is what the case prints.  The
-hash shows whether two sources give byte-identical output; a case whose
-runs disagree, or that exits non-zero, makes the script exit 1.
+at exit to a pipe it inherits, so its stdout is what the case prints.
+The hash shows whether two sources give byte-identical output; a case
+whose runs disagree, or that exits non-zero, makes the script exit 1.
 
 Usage (standard library only):
 
-    python tools/scaling.py --out BENCH_N.json --label change --parent-src OTHER/src
-    python tools/scaling.py --out BENCH_N.json --label change
+    python tools/scaling.py --out BENCH_N.json --parent-src OTHER/src
 
-With ``--parent-src``, every repeat of every case runs both sources, the
-order swapped on each repeat, and the runs are stored under ``parent``
-and under ``--label`` in one record, so machine drift over the
-invocation falls on both sides alike.  Runs are keyed by label; other
-labels already in the file are kept.
+Every repeat of every case runs both sources, the order swapped on each
+repeat, so machine drift over the invocation falls on both sides alike.
+The runs are stored under ``parent`` and ``change`` in one record, which
+replaces any file already at ``--out``.
 """
 
 from __future__ import annotations
@@ -227,10 +226,12 @@ def _summary(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, type=Path, help="JSON record to create or update")
-    parser.add_argument("--label", default="change", help="key of this run in the record")
+    parser.add_argument("--out", required=True, type=Path, help="JSON record to write")
+    parser.add_argument("--parent-src", required=True, type=Path,
+                        help="directory holding the package to compare against, stored as 'parent'")
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
-                        help="directory holding the fanodescent package (default: this checkout)")
+                        help="directory holding the fanodescent package, stored as 'change' "
+                             "(default: this checkout)")
     parser.add_argument("--repeats", type=_positive, default=3, help="fresh processes per case")
     parser.add_argument("--verify", type=_sizes, default=[20, 40, 80],
                         help="comma-separated M for verify --max-i M --max-n M")
@@ -242,15 +243,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated n for descend_direct(P^n, n // 3) on a cold table")
     parser.add_argument("--certify", type=_sizes, default=[200],
                         help="comma-separated pass counts for proof_trace_thm4(P^m, m), m = 2..24")
-    parser.add_argument("--parent-src", type=Path,
-                        help="also run the package under this directory, stored as 'parent', "
-                             "alternating with --src on every repeat")
     args = parser.parse_args(argv)
-    sources = {args.label: args.src.resolve()}
-    if args.parent_src is not None:
-        if args.label == "parent":
-            parser.error("--label must not be 'parent' when --parent-src is given")
-        sources["parent"] = args.parent_src.resolve()
+    sources = {"parent": args.parent_src.resolve(), "change": args.src.resolve()}
 
     results = {label: [] for label in sources}
     ok = True
@@ -265,14 +259,12 @@ def main(argv: list[str] | None = None) -> int:
                   + ("" if clean else f", exit codes {result['exit_codes']}, reports differ or fail"),
                   file=sys.stderr)
 
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    for label, cases_run in results.items():
-        record.setdefault("runs", {})[label] = {
-            "machine": machine(),
-            "repeats": args.repeats,
-            "alternated": len(sources) > 1,
-            "cases": cases_run,
+    record = {
+        "runs": {
+            label: {"machine": machine(), "repeats": args.repeats, "cases": cases_run}
+            for label, cases_run in results.items()
         }
+    }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0 if ok else 1
 
