@@ -15,6 +15,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -132,8 +133,17 @@ def _write_json(obj: object, out: list[str], indent: str) -> None:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON: {obj!r}")
 
 
+# str() and int() refuse an integer of more digits than
+# sys.get_int_max_str_digits() allows (4300 by default); Decimal converts
+# exactly at any size, so a reported number that str() refuses and every
+# --input scalar go through it, and that process-wide limit is left alone.
 def _q(x: Fraction | int) -> str:
-    return str(as_rational(x))
+    x = as_rational(x)
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 # ASCII digits only: int() and Fraction() also take digit separators
@@ -180,8 +190,9 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
         # Fraction() alone would also take 0.5, 1e3 and 1_0.
         if not _RATIONAL_TOKEN.fullmatch(tok):
             raise ValueError(f"{path}: bad rational token {tok!r} (expected p/q or an integer)")
+        num, _, den = tok.partition("/")
         try:
-            scalars.append(Fraction(tok))
+            scalars.append(Fraction(int(Decimal(num)), int(Decimal(den or 1))))
         except ZeroDivisionError:
             raise ValueError(f"{path}: bad rational token {tok!r} (zero denominator)") from None
     return SplitChernVector(tuple(scalars), label="input")

@@ -37,9 +37,10 @@ to binomial moments lambda_l = L(C(t, l)), where L(t^k) = rho_k, and
 back: the rising products hold the Stirling numbers of the first kind,
 the surjection numbers those of the second.  In that basis a descent step at
 curve degree 1 needs no row at all; it is the Pascal step
-lambda_l + lambda_{l+1} - [l = 1].  ``descend_chain`` walks a chain on an
-honest table that way; every table with a prefix, and every other
-descent, reads rows.
+lambda_l + lambda_{l+1} - [l = 1].  ``descend_chain`` walks a chain and
+``proof_trace`` reads a certificate's bounds that way on an honest table
+(``_honest``); every table with a prefix, and every other descent, reads
+rows.
 
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
@@ -83,7 +84,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Polynomial:
     """Holder of a dense univariate polynomial's exact rational coefficients.
 
@@ -441,6 +442,18 @@ class CoeffTable:
             nums = list(map(mul, nums, to_hat))
             column.append(_reduced(nums, prev_den * scale * to_hat[0]))
         return column[i]
+
+
+def _honest(table: CoeffTable | None) -> bool:
+    """Whether ``table`` is honest: the default (None) or built without a
+    Bernoulli prefix, so that its rows are the closed ones.
+
+    Callers read descended scalars at curve degree 1 off binomial
+    moments (``_binomial_moments``, ``_pascal_step``) on an honest table
+    and never touch it; a table with a prefix is read row by row, so an
+    overridden prefix is followed exactly.
+    """
+    return table is None or table._closed
 
 
 def _reduced(nums: list[int], den: int) -> tuple[list[int], int]:

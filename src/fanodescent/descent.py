@@ -35,6 +35,7 @@ from .coeffs import (
     _DEPTH,
     CoeffTable,
     _binomial_moments,
+    _honest,
     _over_common,
     _pascal_step,
     _power_sums,
@@ -376,7 +377,7 @@ def descend_chain(
     if degrees is not None:
         for a in degrees:
             _check_int(a, 1, _DEGREE)
-    if table is None or table._closed:
+    if _honest(table):
         walk = _moment_walk(v)
     else:
         current = v

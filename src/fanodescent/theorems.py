@@ -20,6 +20,13 @@ compared with its closed form and its requirement by cross-multiplying.
 One Fraction is built per reported value, by ``exact._fraction(num,
 den)``, which needs den > 0 and reduces by one gcd, and the Fractions of
 an error message only when it is raised, the ordinary way.
+
+Level i of a certificate reads r_1 and r_2 of chain member i - 1 and r_1
+of member i.  An honest table (None, or built without a Bernoulli
+prefix) is neither read nor filled: the certificate converts its inputs
+to binomial moments once and takes one Pascal step per level, so it
+builds no coefficient row (see ``proof_trace``).  A table with a prefix
+is read row by row, so a corrupted prefix is followed exactly.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ import copyreg
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
-from .coeffs import CoeffTable, _over_common, shared_table
+from .coeffs import CoeffTable, _binomial_moments, _honest, _over_common, _pascal_step
 from .descent import SplitChernVector
 from .exact import _check_int, _fraction
 
@@ -356,6 +364,46 @@ def _require(level: int, quantity: str, value: Fraction, bound: int, strict: boo
         )
 
 
+_Pair = tuple[int, int]
+
+
+def _row_bounds(
+    table: CoeffTable, scaled: list[int], common: int, m: int, aside: bool
+) -> Iterator[tuple[_Pair, _Pair, _Pair]]:
+    """Per level i = 1..m-1, r_1 and r_2 of chain member i - 1 and r_1 of
+    member i (its top term left out when ``aside``), each summed against
+    a row of ``table`` (``CoeffTable._descended``)."""
+    for i in range(1, m):
+        yield (
+            table._descended(i - 1, 1, scaled, common),
+            table._descended(i - 1, 2, scaled, common),
+            table._descended(i, 1, scaled[:i] if aside else scaled, common),
+        )
+
+
+def _moment_bounds(
+    scaled: list[int], common: int, m: int, aside: bool
+) -> Iterator[tuple[_Pair, _Pair, _Pair]]:
+    """The values of ``_row_bounds`` on an honest table, read off binomial
+    moments with no row: one conversion, then one Pascal step per level.
+
+    Member i's moments lambda_l are L_i(C(t, l)) over ``den``, so its r_1
+    is lambda_1 and its r_2 = L_i(t^2)/2 is (2*lambda_2 + lambda_1)/2.
+    The top term of member i's r_1 is r_{i+1} = scaled[i]/((i+1)! * common).
+    """
+    moments, den = _binomial_moments(scaled, common)
+    fact = 1  # (i+1)!
+    for i in range(1, m):
+        fact *= i + 1
+        # Trailing zero moments are dropped, so lambda_1 or lambda_2 may be missing.
+        one, two = (*moments, 0, 0)[:2]
+        moments = _pascal_step(moments, den, m - i)
+        c1 = (moments[0] if moments else 0, den)
+        if aside:
+            c1 = (c1[0] * fact * common - scaled[i] * den, den * fact * common)
+        yield (one, den), (2 * two + one, 2 * den), c1
+
+
 def proof_trace(
     v: SplitChernVector,
     m: int,
@@ -382,6 +430,17 @@ def proof_trace(
     requirement by cross-multiplying, and each reported bound is one
     Fraction, three per level.
 
+    Which table gives the bounds: a table with a Bernoulli prefix sums
+    rows (i-1, 1), (i-1, 2) and (i, 1) against the inputs at level i
+    (``_row_bounds``).  An honest one (``table`` None or built without
+    a prefix) is not touched: the inputs become binomial moments once
+    and each level takes one Pascal step (``_moment_bounds``), O(m^2)
+    operations in all and no row.  The two routes give equal values.
+    Write L for the functional L(t^k) = k! * x_k and L_i for L after i
+    Pascal steps; then L_i(f) = L(S^i f) - sum_{a<i} (S^a f)(1), where S
+    is iterated summation, and (S^a t^j)(1) = 1, so L_i(t^j) = L(S^i
+    t^j) - i, which is j! times the descended scalar of row (i, j).
+
     The gate is refused with the texts of ``check_hypotheses``, in the
     same order; whether it passes is decided by ``max_m`` without a second
     degree-by-degree pass, which is exact because the passing levels are
@@ -392,7 +451,6 @@ def proof_trace(
         raise ValueError(
             f"gate {theorem} fails for m = {m}; no certificate can be issued"
         )
-    tab = table or shared_table()
     # The m inputs as power sums over one common denominator, shared by
     # every level; level i reads at most i + 1 <= m of them.
     if at_actual:
@@ -406,15 +464,16 @@ def proof_trace(
     # positivity only needs the remaining sum, which reads the first i
     # inputs (a missing one counts as zero); its closed value is total/(i+1)!.
     aside = gate.c1_aside
+    if _honest(table):
+        bounds = _moment_bounds(scaled, common, m, aside)
+    else:
+        bounds = _row_bounds(table, scaled, common, m, aside)
 
     levels = []
     fact = 1  # (i+1)!
-    for i in range(1, m):
+    for i, ((n, d), t2_full, c1_full) in enumerate(bounds, 1):
         fact *= i + 1
-        n, d = tab._descended(i - 1, 1, scaled, common)
         dim_full = (n - 2 * d, d)
-        t2_full = tab._descended(i - 1, 2, scaled, common)
-        c1_full = tab._descended(i, 1, scaled[:i] if aside else scaled, common)
         # r_1 of the threshold manifold's chain members i - 1 and i.
         before = total - 2 * delta - (i - 1) * (1 + delta)
         after = before - 1 - delta

@@ -413,6 +413,33 @@ def test_chain_from_input_file(tmp_path):
     assert "expected chain" not in out
 
 
+# More digits than the default limit of int <-> str conversion (4300).
+_SEVENS = "7" * 4400
+
+
+@pytest.mark.parametrize(
+    "argv, content, printed",
+    [
+        # r_3 is printed with the start scalars; the chain stops at a non-Fano member.
+        (["chain", "--json"], f"3\n3 -1/2 1/{_SEVENS}\n", [f'"1/{_SEVENS}"']),
+        # r_1 = 2 + 1/777...7 meets the threshold 2 at m = 1.
+        (["check", "--theorem", "thm4", "--m", "1"], f"1\n1{'5' * 4400}/{_SEVENS}\n",
+         [f"1{'5' * 4400}/{_SEVENS}", f"1/{_SEVENS}"]),
+    ],
+    ids=["chain-json", "check-text"],
+)
+def test_numbers_past_the_int_digit_limit_print_exactly(tmp_path, argv, content, printed):
+    path = tmp_path / "vector.txt"
+    path.write_text(content)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli([*argv, "--input", str(path)])
+    assert (code, err) == (0, "")
+    for number in printed:
+        assert number in out
+    # The process-wide limit is left as it was.
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_check_from_input_file(tmp_path):
     path = tmp_path / "q6.txt"
     path.write_text("6\n6 2 0 -1/3 -1/5 -7/90\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -75,6 +76,14 @@ def test_polynomial_immutable():
     p = Polynomial([1])
     with pytest.raises(AttributeError):
         p.coeffs = (2,)
+
+
+def test_polynomial_refuses_a_name_that_is_not_a_field():
+    p = Polynomial([1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del p.coeffs
 
 
 @pytest.mark.parametrize("bad", [0.5, True])

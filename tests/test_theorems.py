@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 import random
 from fractions import Fraction
@@ -39,6 +40,7 @@ from fanodescent.theorems import (
     THM5_STRONG,
     THEOREMS,
     CertificateError,
+    HypothesisReport,
     check_hypotheses,
     check_thm4,
     check_thm5,
@@ -444,9 +446,51 @@ def test_trace_detects_corrupted_table():
     assert excinfo.value.quantity in {"dim_bound", "c1_margin", "t2ch2_bound"}
 
 
+def _trace_outcome(v, m, theorem, table, at_actual):
+    """The certificate, or the type and text of the refusal."""
+    try:
+        return proof_trace(v, m, theorem, table, at_actual)
+    except (CertificateError, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_trace_moments_equal_the_row_route(theorem):
+    # An honest table takes binomial moments, a table with a prefix its
+    # rows; both must issue the same certificates and the same refusals.
+    rng = random.Random(211)
+    toeplitz = CoeffTable([Fraction(1)])
+    outcomes = set()
+    for _ in range(60):
+        m = rng.randint(1, 12)
+        slack = [
+            Fraction(rng.choice((-1, 0, 0, 1, 2, 5)), rng.choice((1, 2, 3, 4, 9, 25, 7)))
+            for _ in range(m)
+        ]
+        extra = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        scalars = [hypothesis_threshold(theorem, m, k) + s for k, s in enumerate(slack, 1)]
+        v = SplitChernVector((*scalars, *extra))
+        for at_actual in (False, True):
+            honest = CoeffTable()
+            moments = _trace_outcome(v, m, theorem, honest, at_actual)
+            assert moments == _trace_outcome(v, m, theorem, None, at_actual)
+            assert moments == _trace_outcome(v, m, theorem, toeplitz, at_actual)
+            # An honest table passed in is neither read nor filled.
+            assert honest._columns == {}
+            outcomes.add(moments[0] if type(moments) is tuple else "issued")
+    # Bounds rise with the inputs, so a passing gate always certifies on
+    # the true coefficients; the refusals are the gate's.
+    assert outcomes == {"issued", ValueError}
+
+
 class _StubTable:
     """A coefficient table whose kernel returns chosen (numerator,
-    denominator) pairs at some (i, j) and the true pairs elsewhere."""
+    denominator) pairs at some (i, j) and the true pairs elsewhere.
+
+    It declares itself not closed, so ``proof_trace`` reads its rows
+    rather than binomial moments."""
+
+    _closed = False
 
     def __init__(self, pairs):
         self.pairs = pairs
@@ -604,6 +648,17 @@ def test_every_reported_value_is_a_canonical_fraction(prefix):
     assert checked > 20000
 
 
+def _ordered(value):
+    """``value`` with a gate report's conclusions as a sorted tuple.
+
+    pickle and deepcopy rebuild a frozenset item by item, and under some
+    hash seeds (12 of PYTHONHASHSEED=0..199 for the thm4 report below)
+    that changes its iteration order, and so its repr."""
+    if isinstance(value, HypothesisReport):
+        return dataclasses.replace(value, conclusions=tuple(sorted(value.conclusions)))
+    return value
+
+
 def test_public_results_round_trip_through_pickle_and_deepcopy():
     # Each result type and both exceptions that take extra arguments can
     # cross a process boundary: same type, value, str and attributes.
@@ -628,7 +683,7 @@ def test_public_results_round_trip_through_pickle_and_deepcopy():
         for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
             assert type(copied) is type(value)
             assert copied == value
-            assert repr(copied) == repr(value)
+            assert repr(_ordered(copied)) == repr(_ordered(value))
     for err, attrs in [(short.value, ["family_dim"]), (failed.value, ["level", "quantity"])]:
         for copied in (pickle.loads(pickle.dumps(err)), copy.deepcopy(err)):
             assert type(copied) is type(err)
