@@ -29,7 +29,7 @@ from .descent import (
     catalogue,
     descend_chain,
 )
-from .exact import as_rational, bernoulli_table
+from .exact import _text, as_rational, bernoulli_table
 from .theorems import (
     THEOREMS,
     CertificateError,
@@ -133,17 +133,8 @@ def _write_json(obj: object, out: list[str], indent: str) -> None:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON: {obj!r}")
 
 
-# str() and int() refuse an integer of more digits than
-# sys.get_int_max_str_digits() allows (4300 by default); Decimal converts
-# exactly at any size, so a reported number that str() refuses and every
-# --input scalar go through it, and that process-wide limit is left alone.
 def _q(x: Fraction | int) -> str:
-    x = as_rational(x)
-    try:
-        return str(x)
-    except ValueError:
-        num = str(Decimal(x.numerator))
-        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+    return _text(as_rational(x))
 
 
 # ASCII digits only: int() and Fraction() also take digit separators
@@ -191,6 +182,8 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
         if not _RATIONAL_TOKEN.fullmatch(tok):
             raise ValueError(f"{path}: bad rational token {tok!r} (expected p/q or an integer)")
         num, _, den = tok.partition("/")
+        # int(text) refuses more digits than sys.get_int_max_str_digits()
+        # allows; Decimal parses them exactly and leaves that limit alone.
         try:
             scalars.append(Fraction(int(Decimal(num)), int(Decimal(den or 1))))
         except ZeroDivisionError:

@@ -42,7 +42,7 @@ from .coeffs import (
     _row_scalars,
     shared_table,
 )
-from .exact import _check_int, _fraction, as_rational
+from .exact import _check_int, _fraction, _text, as_rational
 
 __all__ = [
     "DescentError",
@@ -185,7 +185,7 @@ def _family_dim(num: int, den: int, carried: int | None = None, where: str = "")
     degree, rest = divmod(num, den)
     if rest:
         raise NonIntegralDimensionError(
-            f"anticanonical degree {Fraction(num, den)}{where} is not an integer; "
+            f"anticanonical degree {_text(Fraction(num, den))}{where} is not an integer; "
             "the model is inconsistent for this curve degree"
         )
     d = degree - 2

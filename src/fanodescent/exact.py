@@ -10,6 +10,7 @@ exact arithmetic on arbitrary-precision integers).
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
@@ -69,15 +70,33 @@ def _fraction(num: int, den: int) -> Fraction:
     return value
 
 
+def _text(x: Fraction | int) -> str:
+    """``str(x)`` for an int or a Fraction, at any size.
+
+    str() refuses an integer of more digits than
+    ``sys.get_int_max_str_digits()`` allows (4300 by default); Decimal
+    converts exactly at any size, so a number str() refuses goes through
+    it, and that process-wide limit is left alone.  Every number the
+    library prints, in a report or in an error message, is formatted here.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
+
+
 def _check_int(value: int, least: int, rule: str, got: object = None) -> None:
     """Refuse ``value`` unless it is an int >= ``least``.
 
     Only the type ``int`` itself passes: bools, floats and other int
     subclasses are refused.  The error reads "<rule>, got <got>", ``got``
-    defaulting to ``value``.
+    defaulting to ``value``; an int is written by ``_text``, anything
+    else by its repr.
     """
     if type(value) is not int or value < least:
-        raise ValueError(f"{rule}, got {value if got is None else got!r}")
+        got = value if got is None else got
+        raise ValueError(f"{rule}, got {_text(got) if type(got) is int else repr(got)}")
 
 
 def binomial(n: int, k: int) -> int:

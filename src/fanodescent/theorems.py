@@ -17,9 +17,14 @@ Gates and certificates decide in integers.  A degree passes when
 r_k.numerator * k! >= (slope*m + offset(k)) * r_k.denominator, and a
 certificate bound is an unreduced pair (numerator, denominator > 0)
 compared with its closed form and its requirement by cross-multiplying.
-One Fraction is built per reported value, by ``exact._fraction(num,
-den)``, which needs den > 0 and reduces by one gcd, and the Fractions of
-an error message only when it is raised, the ordinary way.
+The loops read a Fraction's ``_numerator`` and ``_denominator`` slots,
+advance 2^k by doubling and k! by one product per degree, and advance
+the closed forms by one step per level.  One Fraction is built per
+reported value, by ``exact._fraction(num, den)``, which needs den > 0
+and reduces by one gcd.  ``_certify`` and ``_require`` are entered only
+for a level that fails, to raise the refusal with its text; the
+Fractions of an error message are built then, the ordinary way, and
+printed by ``exact._text``.
 
 Level i of a certificate reads r_1 and r_2 of chain member i - 1 and r_1
 of member i.  An honest table (None, or built without a Bernoulli
@@ -34,12 +39,14 @@ from __future__ import annotations
 import copyreg
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, islice, repeat
 from math import factorial
+from operator import mul, sub
 from typing import Iterator
 
 from .coeffs import CoeffTable, _binomial_moments, _honest, _over_common, _pascal_step
 from .descent import SplitChernVector
-from .exact import _check_int, _fraction
+from .exact import _check_int, _fraction, _text
 
 __all__ = [
     "THM4",
@@ -112,12 +119,15 @@ class _Gate:
     def offset(self, k: int) -> int:
         return self.base - 2**k if self.dyadic else self.base
 
-    def scaled_threshold(self, m: int, k: int) -> int:
-        """k! times the threshold on r_k at level m, an integer."""
-        return self.slope * m + self.offset(k)
+    def offsets(self) -> Iterator[int]:
+        """offset(k) for k = 1, 2, ..., the power of two advanced by doubling."""
+        if not self.dyadic:
+            return repeat(self.base)
+        return map(sub, repeat(self.base), accumulate(repeat(2), mul, initial=2))
 
     def threshold(self, m: int, k: int) -> Fraction:
-        return _fraction(self.scaled_threshold(m, k), factorial(k))
+        """The threshold on r_k at level m: (slope*m + offset(k))/k!."""
+        return _fraction(self.slope * m + self.offset(k), factorial(k))
 
 
 _THM5_CONCLUSIONS = frozenset(
@@ -223,7 +233,7 @@ def _checked_gate(v: SplitChernVector, m: int, theorem: str) -> _Gate:
     _check_int(m, 1, "m must be >= 1")
     if m > v.dim:
         raise ValueError(
-            f"m = {m} exceeds the manifold dimension {v.dim}: the degree-k "
+            f"m = {_text(m)} exceeds the manifold dimension {v.dim}: the degree-k "
             "Chern scalar vanishes for k > dim, so a positive threshold "
             "there can never be met"
         )
@@ -243,12 +253,13 @@ def check_hypotheses(
     thm4, ``all_families_degree_one`` for the thm5 pair.
     """
     gate = _checked_gate(v, m, theorem)
+    slope_m = gate.slope * m
     rows, passed, fact = [], True, 1
-    for k, r in enumerate(v.scalars[:m], start=1):
+    for k, r, offset in zip(range(1, m + 1), v.scalars, gate.offsets()):
         fact *= k
-        bound = gate.scaled_threshold(m, k)
+        bound = slope_m + offset
         # r >= bound/k!, cross-multiplied (both denominators are positive).
-        passed = passed and r.numerator * fact >= bound * r.denominator
+        passed = passed and r._numerator * fact >= bound * r._denominator
         rows.append(MarginRow(k, _fraction(bound, fact), r))
     per_k = tuple(rows)
     claims = {
@@ -271,16 +282,18 @@ def max_m(v: SplitChernVector, theorem: str) -> int:
     where that running minimum drops below k.
     """
     gate = _gate(theorem)
+    slope = gate.slope
     # The running minimum of slope*cap_k as num/den (den > 0), started at
     # the level bound dim; slope*cap_k = (r.numerator*k! -
     # offset(k)*r.denominator) / r.denominator.
-    num, den, fact = gate.slope * v.dim, 1, 1
-    for k, r in enumerate(v.scalars, start=1):
+    num, den, fact = slope * v.dim, 1, 1
+    for k, r, offset in zip(range(1, v.dim + 1), v.scalars, gate.offsets()):
         fact *= k
-        cap = r.numerator * fact - gate.offset(k) * r.denominator
-        if cap * den < num * r.denominator:
-            num, den = cap, r.denominator
-        if num < gate.slope * k * den:
+        r_den = r._denominator
+        cap = r._numerator * fact - offset * r_den
+        if cap * den < num * r_den:
+            num, den = cap, r_den
+        if num < slope * k * den:
             return k - 1
     return v.dim
 
@@ -323,6 +336,9 @@ class Certificate:
     all_positive: bool
 
 
+_Pair = tuple[int, int]
+
+
 def _certify(
     level: int,
     quantity: str,
@@ -339,15 +355,15 @@ def _certify(
             raise CertificateError(
                 level,
                 quantity,
-                f"actual-input value {Fraction(n, d)} fell below the "
-                f"threshold-input value {Fraction(p, q)}",
+                f"actual-input value {_text(Fraction(n, d))} fell below the "
+                f"threshold-input value {_text(Fraction(p, q))}",
             )
     elif n * q != p * d:
         raise CertificateError(
             level,
             quantity,
-            f"coefficient-sum route gives {Fraction(n, d)}, "
-            f"closed expression gives {Fraction(p, q)}",
+            f"coefficient-sum route gives {_text(Fraction(n, d))}, "
+            f"closed expression gives {_text(Fraction(p, q))}",
         )
     return _fraction(n, d)
 
@@ -360,48 +376,75 @@ def _require(level: int, quantity: str, value: Fraction, bound: int, strict: boo
     if not ok:
         rel = ">" if strict else ">="
         raise CertificateError(
-            level, quantity, f"bound {value} fails the requirement {rel} {bound}"
+            level, quantity, f"bound {_text(value)} fails the requirement {rel} {bound}"
         )
 
 
-_Pair = tuple[int, int]
+_Pairs = tuple[_Pair, _Pair, _Pair]
+
+
+def _refuse_level(
+    level: int, full: _Pairs, closed: _Pairs, at_actual: bool, t2_asserted: bool, t2_strict: bool
+) -> None:
+    """Raise the refusal of a level whose integer checks failed, through
+    ``_certify`` and ``_require``: every bound against its closed form,
+    then every bound against its requirement, each in the order dim_bound,
+    c1_margin, t2ch2_bound.  ``full`` and ``closed`` hold the (dim, c1,
+    t2) pairs."""
+    (dim, c1, t2), (dim_closed, c1_closed, t2_closed) = full, closed
+    dim_bound = _certify(level, "dim_bound", dim, dim_closed, at_actual)
+    c1_margin = _certify(level, "c1_margin", c1, c1_closed, at_actual)
+    t2_bound = _certify(level, "t2ch2_bound", t2, t2_closed, at_actual)
+    _require(level, "dim_bound", dim_bound, 0, strict=True)
+    _require(level, "c1_margin", c1_margin, 0, strict=True)
+    if t2_asserted:
+        _require(level, "t2ch2_bound", t2_bound, 1, strict=t2_strict)
 
 
 def _row_bounds(
     table: CoeffTable, scaled: list[int], common: int, m: int, aside: bool
-) -> Iterator[tuple[_Pair, _Pair, _Pair]]:
+) -> Iterator[tuple[int, int, int, int, int, int]]:
     """Per level i = 1..m-1, r_1 and r_2 of chain member i - 1 and r_1 of
     member i (its top term left out when ``aside``), each summed against
-    a row of ``table`` (``CoeffTable._descended``)."""
+    a row of ``table`` (``CoeffTable._descended``), as three pairs in one
+    flat tuple."""
     for i in range(1, m):
         yield (
-            table._descended(i - 1, 1, scaled, common),
-            table._descended(i - 1, 2, scaled, common),
-            table._descended(i, 1, scaled[:i] if aside else scaled, common),
+            *table._descended(i - 1, 1, scaled, common),
+            *table._descended(i - 1, 2, scaled, common),
+            *table._descended(i, 1, scaled[:i] if aside else scaled, common),
         )
 
 
 def _moment_bounds(
     scaled: list[int], common: int, m: int, aside: bool
-) -> Iterator[tuple[_Pair, _Pair, _Pair]]:
+) -> Iterator[tuple[int, int, int, int, int, int]]:
     """The values of ``_row_bounds`` on an honest table, read off binomial
     moments with no row: one conversion, then one Pascal step per level.
 
     Member i's moments lambda_l are L_i(C(t, l)) over ``den``, so its r_1
     is lambda_1 and its r_2 = L_i(t^2)/2 is (2*lambda_2 + lambda_1)/2.
-    The top term of member i's r_1 is r_{i+1} = scaled[i]/((i+1)! * common).
+    The step gives member i's lambda_1 as lambda_1 + lambda_2 - den of
+    member i - 1, so lambda_2 is read off the two r_1 and no moment past
+    the first is indexed.  The top term of member i's r_1 is r_{i+1} =
+    scaled[i]/((i+1)! * common).
     """
     moments, den = _binomial_moments(scaled, common)
+    # Trailing zero moments are dropped, so a list may be empty.
+    one = moments[0] if moments else 0
     fact = 1  # (i+1)!
     for i in range(1, m):
-        fact *= i + 1
-        # Trailing zero moments are dropped, so lambda_1 or lambda_2 may be missing.
-        one, two = (*moments, 0, 0)[:2]
         moments = _pascal_step(moments, den, m - i)
-        c1 = (moments[0] if moments else 0, den)
+        after = moments[0] if moments else 0
+        # 2*lambda_2 + lambda_1 of member i - 1, with lambda_2 = after - one + den.
+        t2 = 2 * (after + den) - one
         if aside:
-            c1 = (c1[0] * fact * common - scaled[i] * den, den * fact * common)
-        yield (one, den), (2 * two + one, 2 * den), c1
+            fact *= i + 1
+            c1, c1_den = after * fact * common - scaled[i] * den, den * fact * common
+        else:
+            c1, c1_den = after, den
+        yield one, den, t2, 2 * den, c1, c1_den
+        one = after
 
 
 def proof_trace(
@@ -428,7 +471,10 @@ def proof_trace(
     Each bound and each closed form is an integer pair (numerator,
     denominator > 0); they are compared with each other and with the
     requirement by cross-multiplying, and each reported bound is one
-    Fraction, three per level.
+    Fraction, three per level.  A level that fails any comparison is
+    refused by ``_refuse_level``: the first failing level, and within it
+    the closed forms before the requirements, each in the order
+    dim_bound, c1_margin, t2ch2_bound.
 
     Which table gives the bounds: a table with a Bernoulli prefix sums
     rows (i-1, 1), (i-1, 2) and (i, 1) against the inputs at level i
@@ -451,14 +497,15 @@ def proof_trace(
         raise ValueError(
             f"gate {theorem} fails for m = {m}; no certificate can be issued"
         )
+    slope_m = gate.slope * m
+    total = slope_m + gate.base
     # The m inputs as power sums over one common denominator, shared by
     # every level; level i reads at most i + 1 <= m of them.
     if at_actual:
         scaled, common = _over_common(v.scalars[:m])
     else:
-        scaled = [gate.scaled_threshold(m, k) for k in range(1, m + 1)]
+        scaled = [slope_m + offset for offset in islice(gate.offsets(), m)]
         common = 1
-    total = gate.slope * m + gate.base
     delta = 1 if gate.dyadic else 0
     # The top descent term kept aside is a positive class on its own, so
     # positivity only needs the remaining sum, which reads the first i
@@ -469,30 +516,42 @@ def proof_trace(
     else:
         bounds = _row_bounds(table, scaled, common, m, aside)
 
+    every, strict = gate.t2_every_level, gate.t2_strict
     levels = []
     fact = 1  # (i+1)!
-    for i, ((n, d), t2_full, c1_full) in enumerate(bounds, 1):
-        fact *= i + 1
-        dim_full = (n - 2 * d, d)
-        # r_1 of the threshold manifold's chain members i - 1 and i.
-        before = total - 2 * delta - (i - 1) * (1 + delta)
-        after = before - 1 - delta
-        dim_closed = (before - 2, 1)
-        c1_closed = (fact * after - total, fact) if aside else (after, 1)
-        t2_closed = (before - 2 * delta, 2)
-        t2_asserted = gate.t2_every_level or i + 1 < m
-
-        dim_bound = _certify(i, "dim_bound", dim_full, dim_closed, at_actual)
-        c1_margin = _certify(i, "c1_margin", c1_full, c1_closed, at_actual)
-        t2_bound = _certify(i, "t2ch2_bound", t2_full, t2_closed, at_actual)
-
-        _require(i, "dim_bound", dim_bound, 0, strict=True)
-        _require(i, "c1_margin", c1_margin, 0, strict=True)
-        if t2_asserted:
-            _require(i, "t2ch2_bound", t2_bound, 1, strict=gate.t2_strict)
-        levels.append(
-            CertificateLevel(i, dim_bound, c1_margin, t2_bound, t2_asserted)
-        )
+    # r_1 of the threshold manifold's chain member i, one step of
+    # 1 + delta per level, and the closed forms p/q of the dimension and
+    # t2 bounds, (r_1(i-1) - 2)/1 and (r_1(i-1) - 2*delta)/2, advanced
+    # alongside it.
+    step = 1 + delta
+    after = total - 2 * delta
+    dim_p, t2_p = after - 2, after - 2 * delta
+    for i, (n, d, t2, t2_den, c1, c1_den) in enumerate(bounds, 1):
+        after -= step
+        if aside:
+            fact *= i + 1
+            c1_p, c1_q = fact * after - total, fact
+        else:
+            c1_p, c1_q = after, 1
+        dim = n - 2 * d
+        t2_asserted = every or i + 1 < m
+        # Each bound against its closed form, cross-multiplied over positive
+        # denominators (equal, or at least it with at_actual), and against
+        # its requirement: a numerator against 0 or its denominator, where
+        # t2 > 1 or >= 1 is t2 - t2_den >= strict.
+        if at_actual:
+            agrees = dim >= dim_p * d and c1 * c1_q >= c1_p * c1_den and 2 * t2 >= t2_p * t2_den
+        else:
+            agrees = dim == dim_p * d and c1 * c1_q == c1_p * c1_den and 2 * t2 == t2_p * t2_den
+        if not (agrees and dim > 0 and c1 > 0 and (t2 - t2_den >= strict or not t2_asserted)):
+            full = ((dim, d), (c1, c1_den), (t2, t2_den))
+            closed = ((dim_p, 1), (c1_p, c1_q), (t2_p, 2))
+            _refuse_level(i, full, closed, at_actual, t2_asserted, strict)
+        dim_bound, c1_margin = _fraction(dim, d), _fraction(c1, c1_den)
+        t2_bound = _fraction(t2, t2_den)
+        levels.append(CertificateLevel(i, dim_bound, c1_margin, t2_bound, t2_asserted))
+        dim_p -= step
+        t2_p -= step
     mode = "actual" if at_actual else "threshold"
     return Certificate(theorem, m, mode, tuple(levels), all_positive=True)
 

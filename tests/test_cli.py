@@ -440,6 +440,18 @@ def test_numbers_past_the_int_digit_limit_print_exactly(tmp_path, argv, content,
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_refusal_past_the_int_digit_limit_keeps_its_text(tmp_path):
+    # r_1 = 1/777...7 is not an integer degree: the library's own refusal,
+    # with the number digit for digit, not Python's conversion error.
+    path = tmp_path / "vector.txt"
+    path.write_text(f"1\n1/{_SEVENS}\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["chain", "--input", str(path), "--json"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: anticanonical degree 1/{_SEVENS} is not an integer; ")
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_check_from_input_file(tmp_path):
     path = tmp_path / "q6.txt"
     path.write_text("6\n6 2 0 -1/3 -1/5 -7/90\n")

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from conftest import run_cli
 
-from fanodescent.descent import projective_space
-from fanodescent.theorems import proof_trace_thm4
+from fanodescent.coeffs import CoeffTable
+from fanodescent.descent import projective_space, quadric
+from fanodescent.theorems import THM4, THM5, THM5_STRONG, check_hypotheses, proof_trace
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "scaling.py"
 
@@ -31,13 +32,39 @@ def _run(out: Path, repeats: int = 1) -> subprocess.CompletedProcess:
 
 
 def _certificates_text() -> str:
-    """What the certificate case prints: the certificates of P^m at m, m = 2..24."""
+    """What the certificate case prints: for m = 2..24, each gate's margins
+    at m on its catalogue manifold with m % 3 extra dimensions, and its
+    certificate in threshold and in actual mode."""
     lines = []
     for m in range(2, 25):
-        cert = proof_trace_thm4(projective_space(m).vector, m)
-        bounds = [f"{lv.dim_bound} {lv.c1_margin} {lv.t2ch2_bound}" for lv in cert.per_level]
-        lines.append(" ".join([str(m), *bounds]) + "\n")
+        e = m % 3
+        for theorem, v in [
+            (THM4, projective_space(m + e).vector),
+            (THM5, quadric(2 * m - 1 + e).vector),
+            (THM5_STRONG, quadric(2 * m + e).vector),
+        ]:
+            for at_actual in (False, True):
+                report = check_hypotheses(v, m, theorem)
+                # Every gate passes there.
+                assert report.passed
+                cert = proof_trace(v, m, theorem, CoeffTable(), at_actual)
+                assert cert.mode == ("actual" if at_actual else "threshold")
+                margins = [str(row.margin) for row in report.per_k]
+                bounds = [f"{lv.dim_bound} {lv.c1_margin} {lv.t2ch2_bound}" for lv in cert.per_level]
+                lines.append(" ".join([theorem, str(m), *margins, cert.mode, *bounds]) + "\n")
     return "".join(lines)
+
+
+def test_certificate_case_covers_every_gate_and_mode():
+    # A row is: theorem, m, the m margins of the gate check, the mode and
+    # the m - 1 levels of the certificate.
+    rows = [line.split() for line in _certificates_text().splitlines()]
+    assert len(rows) == 23 * 3 * 2
+    assert {row[0] for row in rows} == {THM4, THM5, THM5_STRONG}
+    assert [row[2 + int(row[1])] for row in rows] == ["threshold", "actual"] * (23 * 3)
+    # The slack lifts some actual-mode bounds above the threshold ones.
+    levels = [row[3 + int(row[1]):] for row in rows]
+    assert any(thr != act for thr, act in zip(levels[::2], levels[1::2]))
 
 
 def test_scaling_record_smoke(tmp_path):
@@ -59,7 +86,7 @@ def test_scaling_record_smoke(tmp_path):
         "chain projective_space n=4",
         "chain quadric n=4",
         "descend_direct projective_space n=6 i=2",
-        "proof_trace_thm4 P^m m=2..24 passes=1",
+        "check_hypotheses+proof_trace 3 gates m=2..24 passes=1",
     ]
     for case in run["cases"]:
         assert case["exit_codes"] == [0]

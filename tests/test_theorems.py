@@ -179,9 +179,18 @@ def test_max_m_zero_when_nothing_passes():
     assert max_m(v, THM4) == 0
 
 
+def reference_gate(v: SplitChernVector, m: int, theorem: str):
+    """Reference: the gate at level m as a plain-Fraction scan of
+    ``hypothesis_threshold``, returning the thresholds, the margins and
+    whether every margin is non-negative."""
+    thresholds = [hypothesis_threshold(theorem, m, k) for k in range(1, m + 1)]
+    margins = [r - t for r, t in zip(v.scalars, thresholds)]
+    return thresholds, margins, all(x >= 0 for x in margins)
+
+
 def brute_force_max_m(v: SplitChernVector, theorem: str) -> int:
-    """Reference: the largest level at which the full gate check passes."""
-    passing = [m for m in range(1, v.dim + 1) if check_hypotheses(v, m, theorem).passed]
+    """Reference: the largest level at which the plain-Fraction scan passes."""
+    passing = [m for m in range(1, v.dim + 1) if reference_gate(v, m, theorem)[2]]
     return max(passing, default=0)
 
 
@@ -204,10 +213,28 @@ def random_gate_vectors(theorem: str, count: int, seed: int):
         yield SplitChernVector(tuple(scalars))
 
 
+def _wide_denominator_vectors(theorem: str, seed: int):
+    """Thresholds of a random level plus slack over 97 * k! or 2^k * k!,
+    denominators beyond k!, and the catalogue up to dimension 30, whose
+    dyadic thresholds reach 2^30."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        m0 = rng.randint(1, n)
+        yield SplitChernVector(tuple(
+            hypothesis_threshold(theorem, m0, k)
+            + Fraction(rng.randint(-2, 2), rng.choice((97, 2**k)) * factorial(k))
+            for k in range(1, n + 1)
+        ))
+    for n in range(1, 31):
+        yield projective_space(n).vector
+        yield quadric(n).vector
+
+
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_max_m_equals_brute_force_scan(theorem):
     seen = set()
-    for v in random_gate_vectors(theorem, 400, seed=17):
+    for v in [*random_gate_vectors(theorem, 400, seed=17), *_wide_denominator_vectors(theorem, 43)]:
         expected = brute_force_max_m(v, theorem)
         assert max_m(v, theorem) == expected
         seen.add("none" if expected == 0 else "all" if expected == v.dim else "some")
@@ -244,6 +271,26 @@ def test_passing_levels_agree_with_the_walked_chain(theorem):
             assert chain.terminal in cut_short, (v, m, chain.terminal)
     # Both kinds of walk occur, so neither assertion is vacuous.
     assert determined and short, (determined, short)
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_gate_rows_equal_a_plain_fraction_scan(theorem):
+    # Every row of check_hypotheses (threshold, actual, margin) and its
+    # decision against the reference scan, at every level up to and
+    # including m = dim.
+    outcomes, ties = set(), 0
+    for v in [*random_gate_vectors(theorem, 300, seed=41), *_wide_denominator_vectors(theorem, 47)]:
+        for m in range(1, v.dim + 1):
+            report = check_hypotheses(v, m, theorem)
+            thresholds, margins, passed = reference_gate(v, m, theorem)
+            assert [row.k for row in report.per_k] == list(range(1, m + 1))
+            assert [row.threshold for row in report.per_k] == thresholds
+            assert [row.actual for row in report.per_k] == list(v.scalars[:m])
+            assert [row.margin for row in report.per_k] == margins
+            assert report.passed == passed, (v, m)
+            outcomes.add(passed)
+            ties += passed and 0 in margins
+    assert outcomes == {True, False} and ties > 0
 
 
 def test_max_m_never_runs_the_gate_check(monkeypatch):
@@ -504,7 +551,7 @@ class _StubTable:
 
 # P^3 at thm4, m = 3 (total 4).  Level 1 reads dim from (0, 1), t2 from
 # (0, 2) and c1 from (1, 1); level 2 reads (1, 1), (1, 2) and (2, 1).
-# The closed forms: dim 2 and 1, c1 3/2 and 4/3, t2 2 and 3/2.
+# The closed forms: dim 2 and 1, c1 1 and 4/3, t2 2 and 3/2.
 @pytest.mark.parametrize(
     "pairs, at_actual, message",
     [
@@ -515,12 +562,34 @@ class _StubTable:
          "level 2, c1_margin: coefficient-sum route gives 5/3, closed expression gives 4/3"),
         ({(0, 2): (-6, 4)}, False,
          "level 1, t2ch2_bound: coefficient-sum route gives -3/2, closed expression gives 2"),
-        # (1, 1) is level 1's c1 (7/2 >= 3/2) and level 2's dim
+        # (1, 1) is level 1's c1 (7/2 >= 1) and level 2's dim
         # (7/2 - 2 = 3/2 >= 1); both pass, and level 2's t2, 1, falls below 3/2.
         ({(1, 1): (7, 2), (1, 2): (2, 2)}, True,
          "level 2, t2ch2_bound: actual-input value 1 fell below the threshold-input value 3/2"),
         ({(2, 1): (-2, 6)}, True,
          "level 2, c1_margin: actual-input value -1/3 fell below the threshold-input value 4/3"),
+        # Several bounds fail: the refusal is the first failing level's, and
+        # within a level the closed forms are checked before the
+        # requirements, each in the order dim_bound, c1_margin, t2ch2_bound
+        # (not the order the rows are read in).
+        # Two bounds of level 1.
+        ({(0, 1): (18, 4), (0, 2): (-6, 4)}, False,
+         "level 1, dim_bound: coefficient-sum route gives 5/2, closed expression gives 2"),
+        ({(0, 1): (2, 1), (0, 2): (2, 2)}, True,
+         "level 1, dim_bound: actual-input value 0 fell below the threshold-input value 2"),
+        # c1 and t2 of level 2; t2's row (1, 2) is read before c1's (2, 1).
+        ({(1, 2): (0, 1), (2, 1): (10, 6)}, False,
+         "level 2, c1_margin: coefficient-sum route gives 5/3, closed expression gives 4/3"),
+        ({(1, 2): (2, 2), (2, 1): (-2, 6)}, True,
+         "level 2, c1_margin: actual-input value -1/3 fell below the threshold-input value 4/3"),
+        # The last quantity of level 1 before the first failing one of level 2.
+        ({(0, 2): (-6, 4), (2, 1): (10, 6)}, False,
+         "level 1, t2ch2_bound: coefficient-sum route gives -3/2, closed expression gives 2"),
+        ({(0, 2): (2, 2), (2, 1): (-2, 6)}, True,
+         "level 1, t2ch2_bound: actual-input value 1 fell below the threshold-input value 2"),
+        # Level 1's c1 before level 2's dim, both read from row (1, 1).
+        ({(1, 1): (1, 2)}, True,
+         "level 1, c1_margin: actual-input value 1/2 fell below the threshold-input value 1"),
     ],
 )
 def test_trace_certificate_error_texts(pairs, at_actual, message):
@@ -528,6 +597,44 @@ def test_trace_certificate_error_texts(pairs, at_actual, message):
     with pytest.raises(CertificateError) as excinfo:
         proof_trace_thm4(projective_space(3).vector, 3, table=table, at_actual=at_actual)
     assert str(excinfo.value) == message
+
+
+# More digits than the default limit of int <-> str conversion (4300).
+_BIG = 10**4400
+
+
+@pytest.mark.parametrize(
+    "at_actual, message",
+    [
+        (False, "coefficient-sum route gives -1{n}/1{z}, closed expression gives 2"),
+        (True, "actual-input value -1{n}/1{z} fell below the threshold-input value 2"),
+    ],
+    ids=["threshold", "actual"],
+)
+def test_certificate_error_texts_past_the_int_digit_limit(at_actual, message):
+    # dim = 1/10^4400 - 2: the refusal prints it digit for digit.
+    table = _StubTable({(0, 1): (1, _BIG)})
+    with pytest.raises(CertificateError) as excinfo:
+        proof_trace_thm4(projective_space(3).vector, 3, table=table, at_actual=at_actual)
+    expected = message.format(n="9" * 4400, z="0" * 4400)
+    assert str(excinfo.value) == f"level 1, dim_bound: {expected}"
+
+
+def test_requirement_error_text_past_the_int_digit_limit():
+    with pytest.raises(CertificateError) as excinfo:
+        _require(1, "c1_margin", Fraction(-1, _BIG), 0, True)
+    assert str(excinfo.value) == f"level 1, c1_margin: bound -1/1{'0' * 4400} fails the requirement > 0"
+
+
+def test_level_refusals_past_the_int_digit_limit():
+    v = projective_space(3).vector
+    with pytest.raises(ValueError) as excinfo:
+        hypothesis_threshold(THM4, -_BIG, 1)
+    assert str(excinfo.value) == f"m must be >= 1, got -1{'0' * 4400}"
+    for call in (check_hypotheses, proof_trace):
+        with pytest.raises(ValueError) as excinfo:
+            call(v, _BIG, THM4)
+        assert str(excinfo.value).startswith(f"m = 1{'0' * 4400} exceeds the manifold dimension 3: ")
 
 
 def test_trace_ties_in_actual_mode_pass_and_report_reduced_bounds():

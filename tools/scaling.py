@@ -5,10 +5,12 @@ one under ``--parent-src`` and the one under ``--src``: a CLI case runs
 ``python -m fanodescent ... --json`` (``verify``, ``check`` on P^m, and
 ``chain`` on both P^n and Q^n), a direct-descent case runs
 ``descend_direct(P^n, n // 3)`` on a cold table through ``python -c``
-and prints the descended scalars, and a certificate case runs
-``proof_trace_thm4(P^m, m)`` on a fresh table for m = 2..24, the given
-number of passes, in one process, and prints the last pass's
-certificates.  The record holds the wall time and the peak resident set
+and prints the descended scalars, and a certificate case serves what
+the certify-cold benchmark workload serves: for m = 2..24, every gate
+at a catalogue manifold with slack and in both modes, ``check_hypotheses``
+and then, when the gate passes, ``proof_trace`` on a fresh table, the
+given number of passes in one process, printing the last pass's reports
+and certificates.  The record holds the wall time and the peak resident set
 size of every process, their medians and the sha256 of the output.  A
 peak is the process's own high-water mark (``VmHWM``), which it writes
 at exit to a pipe it inherits, so its stdout is what the case prints.
@@ -71,18 +73,34 @@ _DIRECT = (
     "print(*descend_direct(projective_space(n).vector, i, 1).scalars)\n"
 )
 
-# The certificate case: argv[1] is the number of passes over m = 2..24,
-# each certificate on a fresh table, as a cold `check --m` process has.
+# The certificate case: argv[1] is the number of passes over m = 2..24.
+# Each pass checks every gate at level m, on P^(m+e), Q^(2m-1+e) and
+# Q^(2m+e) for thm4, thm5 and thm5_strong (e = m % 3 extra dimensions of
+# slack, so that the actual-input bounds differ from the threshold ones
+# for two m in three), and certifies it in threshold and actual mode,
+# each certificate on a fresh table, as a cold `check --m` request does.
 # Certificates this small cost less than interpreter start-up, so one
 # process runs many of them.
 _CERTIFY = (
     "import sys\n"
-    "from fanodescent import CoeffTable, proof_trace_thm4, projective_space\n"
-    "vectors = [(m, projective_space(m).vector) for m in range(2, 25)]\n"
+    "from fanodescent import CoeffTable, check_hypotheses, proof_trace, projective_space, quadric\n"
+    "from fanodescent.theorems import THEOREMS\n"
+    "requests = []\n"
+    "for m in range(2, 25):\n"
+    "    e = m % 3\n"
+    "    entries = (projective_space(m + e), quadric(2 * m - 1 + e), quadric(2 * m + e))\n"
+    "    for theorem, entry in zip(THEOREMS, entries):\n"
+    "        requests += [(entry.vector, m, theorem, at_actual) for at_actual in (False, True)]\n"
     "for _ in range(int(sys.argv[1])):\n"
-    "    certs = [proof_trace_thm4(v, m, table=CoeffTable()) for m, v in vectors]\n"
-    "for cert in certs:\n"
-    "    print(cert.m, *[f'{lv.dim_bound} {lv.c1_margin} {lv.t2ch2_bound}' for lv in cert.per_level])\n"
+    "    served = []\n"
+    "    for v, m, theorem, at_actual in requests:\n"
+    "        report = check_hypotheses(v, m, theorem)\n"
+    "        cert = proof_trace(v, m, theorem, CoeffTable(), at_actual) if report.passed else None\n"
+    "        served.append((report, cert))\n"
+    "for report, cert in served:\n"
+    "    levels = cert.per_level if cert else ()\n"
+    "    print(report.theorem, report.m, *[row.margin for row in report.per_k], cert and cert.mode,\n"
+    "          *[f'{lv.dim_bound} {lv.c1_margin} {lv.t2ch2_bound}' for lv in levels])\n"
 )
 
 
@@ -109,7 +127,8 @@ def cases(
         i = max(n // 3, 1)
         out.append((f"descend_direct projective_space n={n} i={i}", ["-c", _DIRECT, str(n), str(i)]))
     for passes in certify_passes:
-        out.append((f"proof_trace_thm4 P^m m=2..24 passes={passes}", ["-c", _CERTIFY, str(passes)]))
+        name = f"check_hypotheses+proof_trace 3 gates m=2..24 passes={passes}"
+        out.append((name, ["-c", _CERTIFY, str(passes)]))
     return out
 
 
@@ -241,8 +260,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated n for chain projective_space n and quadric n")
     parser.add_argument("--direct", type=_sizes, default=[60],
                         help="comma-separated n for descend_direct(P^n, n // 3) on a cold table")
-    parser.add_argument("--certify", type=_sizes, default=[200],
-                        help="comma-separated pass counts for proof_trace_thm4(P^m, m), m = 2..24")
+    parser.add_argument("--certify", type=_sizes, default=[50],
+                        help="comma-separated pass counts of the certificate case, m = 2..24")
     args = parser.parse_args(argv)
     sources = {"parent": args.parent_src.resolve(), "change": args.src.resolve()}
 
