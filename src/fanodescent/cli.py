@@ -317,12 +317,13 @@ def cmd_verify(args: argparse.Namespace) -> RunReport:
     # One pass builds what every depth and the run-level check share.
     shared = _IdentityPass(max(args.max_i + 2, args.max_n))
     reports = [shared.report(i, table) for i in range(1, args.max_i + 1)]
+    passed = [r.passed for r in reports]
     composition = shared.symmetric_check(args.max_n)
-    all_ok = all(r.passed for r in reports) and composition.ok
+    all_ok = all(passed) and composition.ok
     results = {
         "reports": [
-            {"i": r.i, "passed": r.passed, "checks": [_check_dict(c) for c in r.checks]}
-            for r in reports
+            {"i": r.i, "passed": ok, "checks": [_check_dict(c) for c in r.checks]}
+            for r, ok in zip(reports, passed)
         ],
         "composition_identity": _check_dict(composition),
         "all_ok": all_ok,

@@ -45,11 +45,12 @@ rows.
 ``verify_identities`` confronts the routes with each other and with the
 scalar corollaries, reporting every mismatch as an exact rational
 discrepancy.  Each route yields integer rows (numerators over one common
-denominator), and every identity is one entry-by-entry comparison of two
-such rows by integer cross-multiplication; a Fraction is built only for
-a mismatch, the ordinary way, or for a public function's result, from
-its integer pair by ``exact._fraction(num, den)``, which needs den > 0
-and reduces by one gcd.  A run over many depths builds what they share
+denominator), and every identity is decided by one integer test on two
+such rows, by cross-multiplication or list equality; an identity that
+holds shares one record, and a Fraction is built only for a mismatch,
+the ordinary way, or for a public function's result, from its integer
+pair by ``exact._fraction(num, den)``, which needs den > 0 and reduces
+by one gcd.  A run over many depths builds what they share
 once.  Every route is polynomial in the depth: nothing here enumerates
 compositions, and the closed forms keep no cache between calls.
 """
@@ -60,9 +61,9 @@ import threading
 from collections import UserList
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, islice, zip_longest
-from math import comb, factorial, gcd, lcm
-from operator import add, mul
+from itertools import accumulate, count, islice, repeat, zip_longest
+from math import factorial, gcd, lcm
+from operator import add, floordiv, mul
 from typing import Iterator, Sequence
 
 from .exact import _check_int, _fraction, _symmetric_expansions, as_rational, extend_bernoulli
@@ -551,19 +552,27 @@ def _composition_rows(max_n: int) -> list[list[int]]:
     S(k, n) = sum_{l=1}^{n-k+1} S(k-1, n-l) / l, from S(0, 0) = 1 and
     S(0, n) = 0 for n >= 1.  The recurrence runs on the integers
     n! * S(k, n), where 1/l becomes the integer weight
-    n! / ((n-l)! * l) = C(n, l) * (l-1)!, so each of the O(max_n^3)
+    n! / ((n-l)! * l) = n(n-1)...(n-l+1) / l, so each of the O(max_n^3)
     terms is one big-integer multiply-add instead of a Fraction
-    normalisation.  Neither the Bernoulli numbers nor the elementary
-    symmetric values enter.  Row n is thus S(., n) over the denominator n!.
+    normalisation.  The table is also kept by columns: column k holds
+    m! * S(k, m) for m = k, k+1, ... (column 0 holds S(0, m) from m = 0),
+    so entry (n, k) is one ``sum(map(mul, ...))`` of the weights against
+    column k - 1 read from its last entry back.  Neither the Bernoulli
+    numbers nor the elementary symmetric values enter.  Row n is thus
+    S(., n) over the denominator n!.
     """
-    scaled = [[1]]
+    rows, columns = [[1]], [[1]]
     for n in range(1, max_n + 1):
-        weights = [0] + [comb(n, l) * factorial(l - 1) for l in range(1, n + 1)]
-        row = [0]
-        for k in range(1, n + 1):
-            row.append(sum(weights[l] * scaled[n - l][k - 1] for l in range(1, n - k + 2)))
-        scaled.append(row)
-    return scaled
+        # weights[l-1] = n(n-1)...(n-l+1) / l for l = 1..n.
+        weights = list(map(floordiv, accumulate(range(n, 0, -1), mul), count(1)))
+        # Column k - 1 holds m = k-1..n-1, so its reversal pairs part l with m = n - l.
+        row = [sum(map(mul, weights, reversed(column))) for column in columns]
+        columns[0].append(0)
+        for column, entry in zip(columns[1:], row):
+            column.append(entry)
+        columns.append(row[-1:])
+        rows.append([0, *row])
+    return rows
 
 
 def _closed_row(rows: list[list[int]], i: int, j: int) -> tuple[list[int], int]:
@@ -724,23 +733,72 @@ class IdentityReport:
 
 _SYMMETRIC = "composition_symmetric_identity"
 
+# The record of each identity of one depth that holds, in report order, the
+# symmetric one last.  Each is shared by every report: records compare by
+# value, so sharing one is invisible.
+_HOLDING = tuple(map(IdentityCheck, (
+    "recursion_vs_composition_ch1",
+    "recursion_vs_composition_ch2",
+    "generating_polynomial_ch1",
+    "generating_polynomial_ch2",
+    "sum_weights_ch1",
+    "sum_weights_ch1_at_2",
+    "sum_weights_ch2",
+    "sum_weights_ch2_at_2",
+    "top_coefficient_ch1",
+    "top_coefficient_ch2",
+    _SYMMETRIC,
+)))
+# Where a depth's mismatch lies, formatted with an identity's ``at`` and then
+# the mismatch's position p: (i, j) and p = k, (i, j, k) alone, or i alone.
+_AT_K, _AT_I = "(i,j,k)=({},{},{})", "i={}"
+# A row as (numerators, denominator), and a scalar as (numerator, denominator).
+_IntRow, _Int = tuple[list[int], int], tuple[int, int]
+
 
 def _compare(
-    name: str, where: str, expected: tuple[list[int], int], actual: tuple[list[int], int]
+    name: str, where: str, at: tuple[int, ...], expected: _IntRow, actual: _IntRow
 ) -> IdentityCheck:
-    """Compare two exact rows, each integer numerators over one denominator.
+    """The record of an identity that failed its integer test.
 
-    Entries are compared by cross-multiplying integers.  A mismatch at
-    1-based position p is reported at ``where.format(p)`` with both values
-    as Fractions; no Fraction is built otherwise.
+    Both sides are exact rows, each integer numerators over one
+    denominator, and they must have the same length (else ValueError).
+    Entries are compared by cross-multiplying integers, and each
+    mismatch, at 1-based position p, is reported in the order of the row
+    at ``where.format(*at, p)``, with both values as Fractions.  Only a
+    failing identity comes here, so a location text or a Fraction is
+    built only for a failure.
     """
     (expected_nums, expected_den), (actual_nums, actual_den) = expected, actual
     found = tuple(
-        Discrepancy(where.format(p), Fraction(e, expected_den), Fraction(a, actual_den))
+        Discrepancy(where.format(*at, p), Fraction(e, expected_den), Fraction(a, actual_den))
         for p, (e, a) in enumerate(zip(expected_nums, actual_nums, strict=True), 1)
         if e * actual_den != a * expected_den
     )
     return IdentityCheck(name, found)
+
+
+def _row_identity(
+    held: IdentityCheck, at: tuple[int, int], expected: _IntRow, actual: _IntRow
+) -> IdentityCheck:
+    """An identity between two rows at (i, j) = ``at``: equal lengths and equal cross products."""
+    (expected_nums, expected_den), (actual_nums, actual_den) = expected, actual
+    if len(expected_nums) == len(actual_nums):
+        cross = list(map(mul, actual_nums, repeat(expected_den)))
+        if list(map(mul, expected_nums, repeat(actual_den))) == cross:
+            return held
+    return _compare(held.name, _AT_K, at, expected, actual)
+
+
+def _scalar_identity(
+    held: IdentityCheck, where: str, at: tuple[int, ...], expected: _Int, actual: _Int
+) -> IdentityCheck:
+    """An identity between two scalars, each (numerator, denominator): equal cross products."""
+    (expected_num, expected_den), (actual_num, actual_den) = expected, actual
+    if expected_num * actual_den == actual_num * expected_den:
+        return held
+    sides = ([expected_num], expected_den), ([actual_num], actual_den)
+    return _compare(held.name, where, at, *sides)
 
 
 class _IdentityPass:
@@ -748,37 +806,49 @@ class _IdentityPass:
 
     Holds the composition rows n! * S(k, n) for n <= top and the outcome
     of the composition/symmetric identity
-    n! * S(k, n) == k! * e_{n-k}(1, ..., n-1) at every 1 <= k <= n <= top,
-    each (k, n) compared once.  The values e_{n-k}(1, ..., n-1) are the
-    coefficients of (t+1)...(t+n-1), read from the process-wide store
-    ``_RISING`` that the generating polynomials also read, and the
-    factorials through top are read from ``_FACTORIALS``.  ``report(i)``
-    for i <= top - 2 and ``symmetric_check(n)`` for n <= top only read
-    them and the table's integer rows, so a run over all depths is
-    O(top^3) exact operations besides the coefficient table.  Every
-    route is an integer row (numerators, denominator) and every
-    comparison goes through ``_compare``, so a Fraction is built only
-    inside a discrepancy.
+    n! * S(k, n) == k! * e_{n-k}(1, ..., n-1) at every 1 <= k <= n <= top.
+    Both sides of size n lie over n!, so the identity holds at n exactly
+    when the two integer rows are equal lists.  The values
+    e_{n-k}(1, ..., n-1) are the coefficients of (t+1)...(t+n-1), read
+    from the process-wide store ``_RISING`` that the generating
+    polynomials also read, and the factorials through top are read from
+    ``_FACTORIALS``.  ``report(i)`` for i <= top - 2 and
+    ``symmetric_check(n)`` for n <= top only read them and the table's
+    integer rows, so a run over all depths is O(top^3) exact operations
+    besides the coefficient table.
+
+    Every route is an integer row (numerators, denominator) or scalar,
+    and every identity is decided by one integer test, one per kind:
+    list equality for the symmetric identity, cross products for a row
+    identity (``_row_identity``) and for a scalar one
+    (``_scalar_identity``).  An identity that holds is its shared record
+    in ``_HOLDING``; only one that fails goes through ``_compare``, which
+    places and values each mismatch.
     """
 
     def __init__(self, top: int):
         _FACTORIALS.upto(top)
         self.rows = _composition_rows(top)
         _RISING.upto(top - 1)
+        # 2^k for k = 1..top, to sum a row at t = 2.
+        self._twos = list(accumulate(repeat(2, top), mul))
         self._symmetric: list[Discrepancy] = []
         # _symmetric_upto[n]: the number of discrepancies at sizes <= n.
         self._symmetric_upto = [0]
         facts, rising = _FACTORIALS.data, _RISING.data
         for n in range(1, top + 1):
             symmetric = list(map(mul, islice(facts, 1, None), rising[n - 1]))
-            where = f"(k,n)=({{}},{n})"
-            check = _compare(_SYMMETRIC, where, (symmetric, facts[n]), (self.rows[n][1:], facts[n]))
-            self._symmetric += check.discrepancies
+            composition = self.rows[n][1:]
+            if symmetric != composition:
+                sides = (symmetric, facts[n]), (composition, facts[n])
+                check = _compare(_SYMMETRIC, "(k,n)=({1},{0})", (n,), *sides)
+                self._symmetric += check.discrepancies
             self._symmetric_upto.append(len(self._symmetric))
 
     def symmetric_check(self, max_n: int) -> IdentityCheck:
         """The composition/symmetric identity for 1 <= k <= n <= max_n."""
-        return IdentityCheck(_SYMMETRIC, tuple(self._symmetric[: self._symmetric_upto[max_n]]))
+        upto = self._symmetric_upto[max_n]
+        return IdentityCheck(_SYMMETRIC, tuple(self._symmetric[:upto])) if upto else _HOLDING[-1]
 
     def report(self, i: int, table: CoeffTable) -> IdentityReport:
         """Every identity at depth i, the symmetric one through n = i + 2."""
@@ -787,33 +857,33 @@ class _IdentityPass:
         # they are c(i, j, k)/k!, the t^k coefficients of
         # sum_k c(i, j, k) t^k / k!; times k! they are c(i, j, k), the basis
         # the closed forms and every reported discrepancy are in.
-        series, recursion = {}, {}
+        series, recursion = [], []
         for j in (1, 2):
             nums, den = table._row(i, j)
-            series[j] = nums, den * facts[j]
-            recursion[j] = list(map(mul, nums, islice(facts, 1, None))), den * facts[j]
-        at_k = {j: f"(i,j,k)=({i},{j},{{}})" for j in (1, 2)}
-        checks: list[IdentityCheck] = []
-        for j in (1, 2):
-            name, closed = f"recursion_vs_composition_ch{j}", _closed_row(self.rows, i, j)
-            checks.append(_compare(name, at_k[j], closed, recursion[j]))
+            series.append((nums, den * facts[j]))
+            recursion.append((list(map(mul, nums, islice(facts, 1, None))), den * facts[j]))
+        # The identities are decided in report order, each with its shared record.
+        held = iter(_HOLDING)
+        checks = [
+            _row_identity(next(held), (i, j), _closed_row(self.rows, i, j), recursion[j - 1])
+            for j in (1, 2)
+        ]
         for j in (1, 2):
             # The t^k coefficient of the generating polynomial S^i(t^j)/j!
             # against c(i, j, k)/k! = c^(i, j, k)/j!, for k = 1..i+j.
             product, den = _generating_numerators(i, j)
-            name = f"generating_polynomial_ch{j}"
-            checks.append(_compare(name, at_k[j], (product, den * facts[j]), series[j]))
+            generating = product, den * facts[j]
+            checks.append(_row_identity(next(held), (i, j), generating, series[j - 1]))
         for j in (1, 2):
             # The generating polynomial is 1/j! at t = 1 and (i + 2^j)/j! at t = 2.
-            nums, den = series[j]
-            for t, suffix, closed in ((1, "", 1), (2, "_at_2", i + 2**j)):
-                total = sum(a * t**k for k, a in enumerate(nums, 1))
-                name = f"sum_weights_ch{j}{suffix}"
-                checks.append(_compare(name, f"i={i}", ([closed], facts[j]), ([total], den)))
+            nums, den = series[j - 1]
+            for closed, total in ((1, sum(nums)), (i + 2**j, sum(map(mul, nums, self._twos)))):
+                sides = (closed, facts[j]), (total, den)
+                checks.append(_scalar_identity(next(held), _AT_I, (i,), *sides))
         for j in (1, 2):
-            nums, den = recursion[j]
-            where = f"(i,j,k)=({i},{j},{i + j})"
-            checks.append(_compare(f"top_coefficient_ch{j}", where, ([1], 1), (nums[-1:], den)))
+            nums, den = recursion[j - 1]
+            sides = (1, 1), (nums[-1], den)
+            checks.append(_scalar_identity(next(held), _AT_K, (i, j, i + j), *sides))
         checks.append(self.symmetric_check(i + 2))
         return IdentityReport(i, tuple(checks))
 

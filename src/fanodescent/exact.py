@@ -91,12 +91,21 @@ def _check_int(value: int, least: int, rule: str, got: object = None) -> None:
 
     Only the type ``int`` itself passes: bools, floats and other int
     subclasses are refused.  The error reads "<rule>, got <got>", ``got``
-    defaulting to ``value``; an int is written by ``_text``, anything
+    defaulting to ``value``; an int is written by ``_text``, a tuple as
+    its entries in parentheses, each written the same way, and anything
     else by its repr.
     """
     if type(value) is not int or value < least:
-        got = value if got is None else got
-        raise ValueError(f"{rule}, got {_text(got) if type(got) is int else repr(got)}")
+        raise ValueError(f"{rule}, got {_shown(value if got is None else got)}")
+
+
+def _shown(got: object) -> str:
+    """``got`` as ``_check_int`` writes it."""
+    if type(got) is int:
+        return _text(got)
+    if type(got) is tuple:
+        return f"({', '.join(map(_shown, got))})"
+    return repr(got)
 
 
 def binomial(n: int, k: int) -> int:

@@ -234,6 +234,20 @@ def test_composition_sum_matches_enumeration():
             assert composition_sum(k, n) == enumerated
 
 
+def test_composition_rows_match_a_fraction_recurrence():
+    # S(k, n) = sum_l S(k-1, n-l)/l over the last part l, in plain Fractions
+    # from S(0, 0) = 1: independent of sympy, and far past enumeration.
+    top = 40
+    s = [[Fraction(int(n == 0)) for n in range(top + 1)]]
+    for k in range(1, top + 1):
+        s.append([sum((s[k - 1][n - l] / l for l in range(1, n + 1)), Fraction(0))
+                  for n in range(top + 1)])
+    rows = coeffs._composition_rows(top)
+    assert [len(row) for row in rows] == list(range(1, top + 2))
+    for n, row in enumerate(rows):
+        assert row == [factorial(n) * s[k][n] for k in range(n + 1)]
+
+
 def test_closed_forms_are_exact_fractions():
     # An int padding divided by 2 would leak a float that still compares
     # equal to the right value, so the type is checked, not just the value.
@@ -541,6 +555,81 @@ def test_verify_identities_matches_reference(flip):
             for check in report.checks
             for d in check.discrepancies
         )
+
+
+# True B_2 = 1/6 and B_4 = -1/30, changed; the tail extends from the change.
+OVERRIDDEN_PREFIXES = {
+    "b2": [Fraction(1), Fraction(-1, 2), Fraction(1, 5)],
+    "b4": [Fraction(1), Fraction(-1, 2), Fraction(1, 6), Fraction(0), Fraction(1, 30)],
+}
+
+
+@pytest.mark.parametrize("prefix", OVERRIDDEN_PREFIXES.values(), ids=OVERRIDDEN_PREFIXES)
+def test_verify_identities_matches_reference_on_overridden_prefixes(prefix):
+    table = CoeffTable(prefix)
+    reports = [verify_identities(i, table) for i in range(1, 13)]
+    assert reports == [_reference_verify(i, table) for i in range(1, 13)]
+    # Every identity between the table and another route fails somewhere.
+    failed = {check.name for report in reports for check in report.checks if not check.ok}
+    assert failed == {
+        f"{name}_ch{j}{suffix}"
+        for name, suffixes in (
+            ("recursion_vs_composition", [""]),
+            ("generating_polynomial", [""]),
+            ("sum_weights", ["", "_at_2"]),
+        )
+        for j in (1, 2)
+        for suffix in suffixes
+    }
+
+
+class _OffByOne(CoeffTable):
+    """The true Toeplitz table, except that the top entry of one row is off by one."""
+
+    def __init__(self, at):
+        super().__init__([Fraction(1)])
+        self.at = at
+
+    def _row(self, i, j):
+        nums, den = super()._row(i, j)
+        if (i, j) == self.at:
+            nums = [*nums[:-1], nums[-1] + 1]
+        return nums, den
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_verify_identities_matches_reference_on_an_off_by_one_top_entry(j):
+    # A prefix starts with B_0 = 1, so no prefix reaches top_coefficient_ch*.
+    table = _OffByOne((4, j))
+    for i in range(1, 8):
+        report = verify_identities(i, table)
+        assert report == _reference_verify(i, table)
+        failed = {check.name for check in report.checks if not check.ok}
+        assert (f"top_coefficient_ch{j}" in failed) is (i == 4)
+        assert report.passed is (i != 4)
+
+
+class _Resized(CoeffTable):
+    """The true Toeplitz table, except that one row is one entry short or one entry long."""
+
+    def __init__(self, at, longer):
+        super().__init__([Fraction(1)])
+        self.at, self.longer = at, longer
+
+    def _row(self, i, j):
+        nums, den = super()._row(i, j)
+        if (i, j) == self.at:
+            nums = [*nums, 0] if self.longer else nums[:-1]
+        return nums, den
+
+
+@pytest.mark.parametrize("longer", [False, True], ids=["short", "long"])
+@pytest.mark.parametrize("j", [1, 2])
+def test_verify_identities_refuses_a_row_of_the_wrong_length(j, longer):
+    table = _Resized((3, j), longer)
+    assert verify_identities(2, table).passed
+    with pytest.raises(ValueError):
+        verify_identities(3, table)
 
 
 def test_composition_symmetric_check_matches_reference():

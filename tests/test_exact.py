@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from fanodescent.coeffs import CoeffTable, composition_sum
+from fanodescent.descent import grassmannian
 from fanodescent.exact import (
     Rational,
     _fraction,
@@ -231,3 +233,24 @@ def test_elementary_symmetric_matches_subset_expansion(values):
             Fraction(0),
         )
         assert elementary_symmetric(l, values) == direct
+
+
+# Past the default limit of int <-> str conversion (4300 digits), a refusal
+# that names a pair still prints both entries digit for digit.
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, head",
+    [
+        (lambda: CoeffTable().coefficient(-1, _HUGE, 1),
+         "coefficient indices require i >= 0 and j >= 1, got (-1, "),
+        (lambda: grassmannian(0, _HUGE), "grassmannian needs 0 < k < m, got (0, "),
+        (lambda: composition_sum(0, _HUGE), "composition_sum requires 1 <= k <= n, got (0, "),
+    ],
+    ids=["coefficient", "grassmannian", "composition_sum"],
+)
+def test_pair_refusals_past_the_int_digit_limit_keep_their_text(call, head):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == f"{head}1{'0' * 5000})"
