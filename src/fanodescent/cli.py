@@ -29,7 +29,7 @@ from .descent import (
     catalogue,
     descend_chain,
 )
-from .exact import _text, as_rational, bernoulli_table
+from .exact import _text, bernoulli_table
 from .theorems import (
     THEOREMS,
     CertificateError,
@@ -133,10 +133,6 @@ def _write_json(obj: object, out: list[str], indent: str) -> None:
         raise TypeError(f"cannot write {type(obj).__name__} as JSON: {obj!r}")
 
 
-def _q(x: Fraction | int) -> str:
-    return _text(as_rational(x))
-
-
 # ASCII digits only: int() and Fraction() also take digit separators
 # (1_0) and other scripts' digits, and int() surrounding whitespace.
 _INTEGER = r"[+-]?[0-9]+"
@@ -169,12 +165,15 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
         raise ValueError(f"{path}: no data found")
     if not _INTEGER_TOKEN.fullmatch(tokens[0]):
         raise ValueError(f"{path}: first token must be the integer dimension")
-    dim = int(tokens[0])
+    # int(text) refuses more digits than sys.get_int_max_str_digits()
+    # allows; Decimal parses them exactly and leaves that limit alone, here
+    # and for the scalars below.
+    dim = int(Decimal(tokens[0]))
     if dim < 1:
-        raise ValueError(f"{path}: dimension must be >= 1, got {dim}")
+        raise ValueError(f"{path}: dimension must be >= 1, got {_text(dim)}")
     if len(tokens) - 1 != dim:
         raise ValueError(
-            f"{path}: expected {dim} scalars after the dimension, got {len(tokens) - 1}"
+            f"{path}: expected {_text(dim)} scalars after the dimension, got {len(tokens) - 1}"
         )
     scalars = []
     for tok in tokens[1:]:
@@ -182,8 +181,6 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
         if not _RATIONAL_TOKEN.fullmatch(tok):
             raise ValueError(f"{path}: bad rational token {tok!r} (expected p/q or an integer)")
         num, _, den = tok.partition("/")
-        # int(text) refuses more digits than sys.get_int_max_str_digits()
-        # allows; Decimal parses them exactly and leaves that limit alone.
         try:
             scalars.append(Fraction(int(Decimal(num)), int(Decimal(den or 1))))
         except ZeroDivisionError:
@@ -297,9 +294,9 @@ def _check_dict(check: IdentityCheck) -> dict:
         "discrepancies": [
             {
                 "location": d.location,
-                "expected": _q(d.expected),
-                "actual": _q(d.actual),
-                "diff": _q(d.diff),
+                "expected": _text(d.expected),
+                "actual": _text(d.actual),
+                "diff": _text(d.diff),
             }
             for d in check.discrepancies
         ],
@@ -402,12 +399,11 @@ def _resolve_vector(
 
 
 def _vector_dict(v: SplitChernVector) -> dict:
-    return {"dim": v.dim, "scalars": [_q(s) for s in v.scalars]}
+    return {"dim": v.dim, "scalars": [_text(s) for s in v.scalars]}
 
 
 def cmd_chain(args: argparse.Namespace) -> RunReport:
     vector, entry, params = _resolve_vector(args)
-    params = dict(params)
     params["degrees"] = list(args.degrees) if args.degrees else None
 
     if entry is not None and not entry.split:
@@ -441,7 +437,7 @@ def cmd_chain(args: argparse.Namespace) -> RunReport:
                 "label": labels[idx] if labels and idx < len(labels) else None,
                 "degree": step.degree_used,
                 "family_dim": step.family_dim,
-                "scalars": [_q(s) for s in step.descended.scalars]
+                "scalars": [_text(s) for s in step.descended.scalars]
                 if step.descended
                 else None,
             }
@@ -510,7 +506,6 @@ def render_chain(report: RunReport) -> str:
 def cmd_check(args: argparse.Namespace) -> RunReport:
     vector, entry, params = _resolve_vector(args)
     theorem = args.theorem.replace("-", "_")
-    params = dict(params)
     params["theorem"] = args.theorem
     params["m"] = args.m
 
@@ -533,9 +528,9 @@ def cmd_check(args: argparse.Namespace) -> RunReport:
         "per_k": [
             {
                 "k": row.k,
-                "threshold": _q(row.threshold),
-                "actual": _q(row.actual),
-                "margin": _q(row.margin),
+                "threshold": _text(row.threshold),
+                "actual": _text(row.actual),
+                "margin": _text(row.margin),
             }
             for row in report.per_k
         ],
@@ -551,9 +546,9 @@ def cmd_check(args: argparse.Namespace) -> RunReport:
         "levels": [
             {
                 "level": lv.level,
-                "dim_bound": _q(lv.dim_bound),
-                "c1_margin": _q(lv.c1_margin),
-                "t2ch2_bound": _q(lv.t2ch2_bound),
+                "dim_bound": _text(lv.dim_bound),
+                "c1_margin": _text(lv.c1_margin),
+                "t2ch2_bound": _text(lv.t2ch2_bound),
                 "t2ch2_asserted": lv.t2ch2_asserted,
             }
             for lv in cert.per_level

@@ -21,10 +21,10 @@ The loops read a Fraction's ``_numerator`` and ``_denominator`` slots,
 advance 2^k by doubling and k! by one product per degree, and advance
 the closed forms by one step per level.  One Fraction is built per
 reported value, by ``exact._fraction(num, den)``, which needs den > 0
-and reduces by one gcd.  ``_certify`` and ``_require`` are entered only
-for a level that fails, to raise the refusal with its text; the
-Fractions of an error message are built then, the ordinary way, and
-printed by ``exact._text``.
+and reduces by one gcd.  ``_refuse_level`` is entered only for a level
+that fails, to raise the refusal with its text: it decides the level's
+comparisons again over Fractions, built then the ordinary way, and
+prints each number through ``exact._text``.
 
 Level i of a certificate reads r_1 and r_2 of chain member i - 1 and r_1
 of member i.  An honest table (None, or built without a Bernoulli
@@ -336,69 +336,38 @@ class Certificate:
     all_positive: bool
 
 
-_Pair = tuple[int, int]
-
-
-def _certify(
-    level: int,
-    quantity: str,
-    full: tuple[int, int],
-    closed: tuple[int, int],
-    at_actual: bool,
-) -> Fraction:
-    """The full-route bound N/Q as one Fraction, once it has met the
-    closed form p/q: N*q == p*Q in threshold mode, N*q >= p*Q with
-    ``at_actual`` (Q, q > 0)."""
-    (n, d), (p, q) = full, closed
-    if at_actual:
-        if n * q < p * d:
-            raise CertificateError(
-                level,
-                quantity,
-                f"actual-input value {_text(Fraction(n, d))} fell below the "
-                f"threshold-input value {_text(Fraction(p, q))}",
-            )
-    elif n * q != p * d:
-        raise CertificateError(
-            level,
-            quantity,
-            f"coefficient-sum route gives {_text(Fraction(n, d))}, "
-            f"closed expression gives {_text(Fraction(p, q))}",
-        )
-    return _fraction(n, d)
-
-
-def _require(level: int, quantity: str, value: Fraction, bound: int, strict: bool):
-    """Refuse ``value`` unless it is > ``bound`` (``strict``) or >= it; the
-    bound is 0 or 1, so a numerator is compared with 0 or its denominator."""
-    limit = bound * value.denominator
-    ok = value.numerator > limit if strict else value.numerator >= limit
-    if not ok:
-        rel = ">" if strict else ">="
-        raise CertificateError(
-            level, quantity, f"bound {_text(value)} fails the requirement {rel} {bound}"
-        )
-
-
-_Pairs = tuple[_Pair, _Pair, _Pair]
-
-
 def _refuse_level(
-    level: int, full: _Pairs, closed: _Pairs, at_actual: bool, t2_asserted: bool, t2_strict: bool
+    level: int, full: tuple[tuple[int, int], ...], closed: tuple[tuple[int, int], ...],
+    at_actual: bool, t2_asserted: bool, t2_strict: bool,
 ) -> None:
-    """Raise the refusal of a level whose integer checks failed, through
-    ``_certify`` and ``_require``: every bound against its closed form,
-    then every bound against its requirement, each in the order dim_bound,
-    c1_margin, t2ch2_bound.  ``full`` and ``closed`` hold the (dim, c1,
-    t2) pairs."""
-    (dim, c1, t2), (dim_closed, c1_closed, t2_closed) = full, closed
-    dim_bound = _certify(level, "dim_bound", dim, dim_closed, at_actual)
-    c1_margin = _certify(level, "c1_margin", c1, c1_closed, at_actual)
-    t2_bound = _certify(level, "t2ch2_bound", t2, t2_closed, at_actual)
-    _require(level, "dim_bound", dim_bound, 0, strict=True)
-    _require(level, "c1_margin", c1_margin, 0, strict=True)
+    """Raise the refusal of a level whose integer checks failed.
+
+    ``full`` and ``closed`` hold the (numerator, denominator > 0) pairs of
+    dim_bound, c1_margin and t2ch2_bound and of their closed forms.  Every
+    bound is checked against its closed form (equal to it, or at least it
+    with ``at_actual``), then against its requirement: > 0, > 0, and for
+    an asserted t2 > 1 (>= 1 unless ``t2_strict``); each pass runs in the
+    order dim_bound, c1_margin, t2ch2_bound.
+    """
+    names = ("dim_bound", "c1_margin", "t2ch2_bound")
+    bounds = [Fraction(n, d) for n, d in full]
+    for name, value, (p, q) in zip(names, bounds, closed):
+        form = Fraction(p, q)
+        if at_actual and value < form:
+            text = "actual-input value {} fell below the threshold-input value {}"
+        elif not at_actual and value != form:
+            text = "coefficient-sum route gives {}, closed expression gives {}"
+        else:
+            continue
+        raise CertificateError(level, name, text.format(_text(value), _text(form)))
+    rules = [(">", 0), (">", 0)]
     if t2_asserted:
-        _require(level, "t2ch2_bound", t2_bound, 1, strict=t2_strict)
+        rules.append((">" if t2_strict else ">=", 1))
+    for name, value, (rel, bound) in zip(names, bounds, rules):
+        if value < bound or (value == bound and rel == ">"):
+            raise CertificateError(
+                level, name, f"bound {_text(value)} fails the requirement {rel} {bound}"
+            )
 
 
 def _row_bounds(

@@ -452,6 +452,28 @@ def test_refusal_past_the_int_digit_limit_keeps_its_text(tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize(
+    "command", [["chain"], ["check", "--theorem", "thm4"]], ids=["chain", "check"]
+)
+@pytest.mark.parametrize(
+    "content, refusal",
+    [
+        (f"4{'0' * 4400}\n1\n", f"expected 4{'0' * 4400} scalars after the dimension, got 1"),
+        (f"-{_SEVENS}\n1\n", f"dimension must be >= 1, got -{_SEVENS}"),
+    ],
+    ids=["too-many", "negative"],
+)
+def test_dimension_past_the_int_digit_limit_keeps_its_refusal(tmp_path, command, content, refusal):
+    # The dimension token is read and printed exactly, like the scalars.
+    path = tmp_path / "vector.txt"
+    path.write_text(content)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli([*command, "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: {refusal}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_check_from_input_file(tmp_path):
     path = tmp_path / "q6.txt"
     path.write_text("6\n6 2 0 -1/3 -1/5 -7/90\n")

@@ -29,7 +29,7 @@ from fanodescent.descent import (
 from fanodescent.exact import bernoulli_table
 from fanodescent.theorems import (
     _GATES,
-    _require,
+    _refuse_level,
     COVERED_BY_PROJECTIVE_M,
     COVERED_BY_PROJECTIVE_M_MINUS_1,
     COVERED_BY_RATIONAL_M_FOLDS,
@@ -620,9 +620,19 @@ def test_certificate_error_texts_past_the_int_digit_limit(at_actual, message):
     assert str(excinfo.value) == f"level 1, dim_bound: {expected}"
 
 
+def _refuse_requirement(level, quantity, value, strict, at_actual=False):
+    """``_refuse_level`` on a level whose every bound equals its closed
+    form, ``quantity`` at ``value`` and the other two bounds meeting their
+    requirements, with the t2 bound asserted."""
+    pairs = {"dim_bound": (1, 1), "c1_margin": (1, 1), "t2ch2_bound": (2, 1)}
+    pairs[quantity] = (value.numerator, value.denominator)
+    full = tuple(pairs.values())
+    _refuse_level(level, full, full, at_actual, True, strict)
+
+
 def test_requirement_error_text_past_the_int_digit_limit():
     with pytest.raises(CertificateError) as excinfo:
-        _require(1, "c1_margin", Fraction(-1, _BIG), 0, True)
+        _refuse_requirement(1, "c1_margin", Fraction(-1, _BIG), True)
     assert str(excinfo.value) == f"level 1, c1_margin: bound -1/1{'0' * 4400} fails the requirement > 0"
 
 
@@ -655,9 +665,35 @@ def test_trace_ties_in_actual_mode_pass_and_report_reduced_bounds():
     ],
 )
 def test_requirement_error_texts(quantity, value, bound, strict, message):
+    # A bound that meets its closed form in either mode is refused with the
+    # same text; one above the requirement passes.
+    for at_actual in (False, True):
+        with pytest.raises(CertificateError) as excinfo:
+            _refuse_requirement(3, quantity, value, strict, at_actual)
+        assert str(excinfo.value) == f"level 3, {quantity}: {message}"
+        _refuse_requirement(3, quantity, Fraction(bound + 1), strict, at_actual)
+
+
+@pytest.mark.parametrize(
+    "full, closed, at_actual, message",
+    [
+        # dim_bound 0 meets its closed form and fails only its requirement;
+        # c1_margin misses its closed form 4/3.
+        (((0, 1), (5, 3), (2, 1)), ((0, 1), (4, 3), (2, 1)), False,
+         "level 2, c1_margin: coefficient-sum route gives 5/3, closed expression gives 4/3"),
+        (((0, 1), (-1, 3), (2, 1)), ((0, 1), (4, 3), (2, 1)), True,
+         "level 2, c1_margin: actual-input value -1/3 fell below the threshold-input value 4/3"),
+        # c1_margin -1 meets its closed form; t2ch2_bound misses 2.
+        (((1, 1), (-1, 1), (3, 1)), ((1, 1), (-1, 1), (2, 1)), False,
+         "level 2, t2ch2_bound: coefficient-sum route gives 3, closed expression gives 2"),
+        (((1, 1), (-1, 1), (3, 2)), ((1, 1), (-1, 1), (2, 1)), True,
+         "level 2, t2ch2_bound: actual-input value 3/2 fell below the threshold-input value 2"),
+    ],
+)
+def test_closed_form_refusals_precede_requirements(full, closed, at_actual, message):
     with pytest.raises(CertificateError) as excinfo:
-        _require(3, quantity, value, bound, strict)
-    assert str(excinfo.value) == f"level 3, {quantity}: {message}"
+        _refuse_level(2, full, closed, at_actual, True, True)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("theorem, accepted", [(THM4, False), (THM5, False), (THM5_STRONG, True)])
@@ -665,12 +701,12 @@ def test_t2_bound_exactly_one(theorem, accepted):
     # No closed t2 form of thm4 or thm5 reaches 1 at an asserted level, so
     # the strict refusal is checked on the requirement itself.
     strict = _GATES[theorem].t2_strict
-    _require(2, "t2ch2_bound", Fraction(11, 10), 1, strict)
+    _refuse_requirement(2, "t2ch2_bound", Fraction(11, 10), strict)
     if accepted:
-        _require(2, "t2ch2_bound", Fraction(1), 1, strict)
+        _refuse_requirement(2, "t2ch2_bound", Fraction(1), strict)
     else:
         with pytest.raises(CertificateError, match="bound 1 fails the requirement > 1"):
-            _require(2, "t2ch2_bound", Fraction(1), 1, strict)
+            _refuse_requirement(2, "t2ch2_bound", Fraction(1), strict)
 
 
 def test_trace_m_equals_one_is_trivially_positive():
