@@ -140,11 +140,27 @@ _INTEGER_TOKEN = re.compile(_INTEGER)
 _RATIONAL_TOKEN = re.compile(_INTEGER + r"(/[0-9]+)?")
 
 
+class _TooManyDigits(ValueError):
+    """An integer token longer than ``int()`` reads."""
+
+
 def _parse_integer(text: str) -> int:
-    """The integer ``text`` spells as [+-]digits; ValueError otherwise."""
+    """The integer ``text`` spells as [+-]digits; ValueError otherwise.
+
+    A token of more digits than ``sys.get_int_max_str_digits()`` allows
+    is refused as ``_TooManyDigits``, with its digit count and not its
+    text.  It is not read exactly as the ``--input`` tokens are, because
+    every integer argument sizes work that nothing bounds yet.
+    """
     if not _INTEGER_TOKEN.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise _TooManyDigits(
+            f"integer has too many digits: {len(text.lstrip('+-'))} "
+            f"(the limit is {sys.get_int_max_str_digits()})"
+        ) from None
 
 
 def parse_split_vector_file(path: str | Path) -> SplitChernVector:
@@ -191,6 +207,8 @@ def parse_split_vector_file(path: str | Path) -> SplitChernVector:
 def _positive_int(text: str) -> int:
     try:
         value = _parse_integer(text)
+    except _TooManyDigits as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
@@ -201,6 +219,8 @@ def _positive_int(text: str) -> int:
 def _degree_list(text: str) -> tuple[int, ...]:
     try:
         degrees = tuple([_parse_integer(tok) for tok in text.split(",")])
+    except _TooManyDigits as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
@@ -389,6 +409,8 @@ def _resolve_vector(
     name = args.name[0]
     try:
         numbers = [_parse_integer(tok) for tok in args.name[1:]]
+    except _TooManyDigits as err:
+        raise ValueError(f"manifold parameters: {err}") from None
     except ValueError:
         raise ValueError(
             f"manifold parameters must be integers, got {args.name[1:]}"

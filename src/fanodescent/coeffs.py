@@ -66,7 +66,15 @@ from math import factorial, gcd, lcm
 from operator import add, floordiv, mul
 from typing import Iterator, Sequence
 
-from .exact import _check_int, _fraction, _symmetric_expansions, as_rational, extend_bernoulli
+from .exact import (
+    _check_int,
+    _fraction,
+    _shown,
+    _symmetric_expansions,
+    _text,
+    as_rational,
+    extend_bernoulli,
+)
 
 __all__ = [
     "Polynomial",
@@ -365,7 +373,7 @@ class CoeffTable:
 
     def coefficient(self, i: int, j: int, k: int) -> Fraction:
         _check_indices(i, j)
-        _check_k(k, i + j, f" for (i, j) = ({i}, {j})")
+        _check_k(k, i + j, f" for (i, j) = {_shown((i, j))}")
         try:
             return self._fractions[i, j][k - 1]
         except KeyError:
@@ -484,8 +492,8 @@ def _check_indices(i: int, j: int) -> None:
 def _check_k(k: int, top: int, where: str = "") -> None:
     """Refuse k unless it is an int in [1, top]; an int out of range says so."""
     if type(k) is int and not 1 <= k <= top:
-        raise ValueError(f"k = {k} out of range [1, {top}]{where}")
-    _check_int(k, 1, f"k must be an int in [1, {top}]{where}")
+        raise ValueError(f"k = {_text(k)} out of range [1, {_text(top)}]{where}")
+    _check_int(k, 1, f"k must be an int in [1, {_text(top)}]{where}")
 
 
 def _over_common(x: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -527,7 +535,7 @@ def _row_scalars(i: int, j: int, x: Sequence[Fraction | int]) -> tuple[list[int]
     _check_indices(i, j)
     n = i + j
     if len(x) < n:
-        raise IndexError(f"row ({i}, {j}) needs {n} scalars, got {len(x)}")
+        raise IndexError(f"row {_shown((i, j))} needs {_text(n)} scalars, got {len(x)}")
     return _over_common(x[:n])
 
 
@@ -686,7 +694,7 @@ def generating_polynomial(i: int, j: int) -> Polynomial:
     rule = "generating polynomials exist only for j in {1, 2}"
     _check_int(j, 1, rule)
     if j > 2:
-        raise ValueError(f"{rule}, got {j}")
+        raise ValueError(f"{rule}, got {_text(j)}")
     nums, den = _generating_numerators(i, j)
     den *= factorial(j)
     return Polynomial([0, *(_fraction(n, den) for n in nums)])

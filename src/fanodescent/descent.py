@@ -42,7 +42,7 @@ from .coeffs import (
     _row_scalars,
     shared_table,
 )
-from .exact import _check_int, _fraction, _text, as_rational
+from .exact import _check_int, _fraction, _shown, _text, as_rational
 
 __all__ = [
     "DescentError",
@@ -129,7 +129,7 @@ class SplitChernVector:
     def ch(self, k: int) -> Fraction:
         """The degree-k Chern scalar r_k, 1-indexed; k must be an int."""
         if type(k) is not int or not 1 <= k <= self.dim:
-            raise ValueError(f"ch_{k!r} not stored for a dimension-{self.dim} vector")
+            raise ValueError(f"ch_{_shown(k)} not stored for a dimension-{self.dim} vector")
         return self.scalars[k - 1]
 
     @property
@@ -191,7 +191,7 @@ def _family_dim(num: int, den: int, carried: int | None = None, where: str = "")
     d = degree - 2
     if carried is not None and d >= 1 and carried < d + 1:
         raise InsufficientScalarsError(
-            f"descent to a dimension-{d} family{where} needs ch_{d + 1}, but "
+            f"descent to a dimension-{_text(d)} family{where} needs ch_{_text(d + 1)}, but "
             f"its source only carries scalars up to degree {carried}",
             family_dim=d,
         )
@@ -306,8 +306,8 @@ def descend_direct(
         d = _family_dim(num, den, d, f" at level {level}")
         if d < 1:
             raise DescentError(
-                f"chain reaches family dimension {d} at level {level}; "
-                f"no dimension-{i} iterate exists"
+                f"chain reaches family dimension {_text(d)} at level {level}; "
+                f"no dimension-{_text(i)} iterate exists"
             )
     return _at_depth(tab, i, d, scaled, common)
 

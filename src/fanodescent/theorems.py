@@ -32,6 +32,17 @@ prefix) is neither read nor filled: the certificate converts its inputs
 to binomial moments once and takes one Pascal step per level, so it
 builds no coefficient row (see ``proof_trace``).  A table with a prefix
 is read row by row, so a corrupted prefix is followed exactly.
+
+``MarginRow`` and ``CertificateLevel`` are ``NamedTuple``s because one
+is built per degree and one per level, and a frozen dataclass's
+``__init__`` sets each field through ``object.__setattr__``; the
+reports ``HypothesisReport`` and ``Certificate`` are built once per call
+and stay frozen dataclasses.  A row keeps its dataclass repr, pickle,
+deepcopy, hash and equality with another row, and setting a field
+raises ``AttributeError``; being a tuple, it also unpacks, indexes, has
+``_replace`` and ``_asdict``, compares equal to the plain tuple of its
+fields, and is no longer a dataclass (``dataclasses.fields``,
+``replace`` and ``asdict`` do not take it).
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from math import factorial
 from operator import mul, sub
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .coeffs import CoeffTable, _binomial_moments, _honest, _over_common, _pascal_step
 from .descent import SplitChernVector
@@ -168,8 +179,7 @@ def hypothesis_threshold(theorem: str, m: int, k: int) -> Fraction:
     return gate.threshold(m, k)
 
 
-@dataclass(frozen=True)
-class MarginRow:
+class MarginRow(NamedTuple):
     k: int
     threshold: Fraction
     actual: Fraction
@@ -313,8 +323,7 @@ class CertificateError(Exception):
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
-@dataclass(frozen=True)
-class CertificateLevel:
+class CertificateLevel(NamedTuple):
     """Exact bounds certifying that the chain extends past level i:
     the family dimension stays positive, the first Chern scalar stays
     positive, and (when asserted) the twice-descended second Chern

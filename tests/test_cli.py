@@ -440,6 +440,35 @@ def test_numbers_past_the_int_digit_limit_print_exactly(tmp_path, argv, content,
     assert sys.get_int_max_str_digits() == limit
 
 
+_LONG = f"1{'0' * 4400}"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="int() reads integers of any length"
+)
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["check", "projective_space", "3", "--theorem", "thm4", "--m", _LONG], "argument --m: "),
+        (["verify", "--max-i", _LONG], "argument --max-i: "),
+        (["verify", "--max-n", f"+{_LONG}"], "argument --max-n: "),
+        (["chain", "quadric", "5", "--degrees", f"1,{_LONG}"], "argument --degrees: "),
+        (["chain", "projective_space", f"-{_LONG}"], "error: manifold parameters: "),
+    ],
+    ids=["m", "max-i", "max-n", "degrees", "manifold"],
+)
+def test_integer_arguments_past_the_int_digit_limit_are_refused_by_length(argv, prefix):
+    # An argument too long for int() is refused with its digit count; the
+    # token itself is not echoed.
+    code, out, err = run_cli(argv)
+    limit = sys.get_int_max_str_digits()
+    assert (code, out) == (2, "")
+    assert _LONG not in err
+    assert err.rstrip("\n").endswith(
+        f"{prefix}integer has too many digits: 4401 (the limit is {limit})"
+    )
+
+
 def test_refusal_past_the_int_digit_limit_keeps_its_text(tmp_path):
     # r_1 = 1/777...7 is not an integer degree: the library's own refusal,
     # with the number digit for digit, not Python's conversion error.

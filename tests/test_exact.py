@@ -8,8 +8,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fanodescent.coeffs import CoeffTable, composition_sum
-from fanodescent.descent import grassmannian
+from fanodescent.coeffs import CoeffTable, composition_sum, generating_polynomial
+from fanodescent.descent import (
+    DescentError,
+    InsufficientScalarsError,
+    SplitChernVector,
+    descend,
+    descend_direct,
+    grassmannian,
+    iterate_scalar,
+    projective_space,
+)
 from fanodescent.exact import (
     Rational,
     _fraction,
@@ -254,3 +263,43 @@ def test_pair_refusals_past_the_int_digit_limit_keep_their_text(call, head):
     with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == f"{head}1{'0' * 5000})"
+
+
+_HUGE_TEXT = f"1{'0' * 5000}"
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: projective_space(3).vector.ch(_HUGE), ValueError,
+         f"ch_{_HUGE_TEXT} not stored for a dimension-3 vector"),
+        (lambda: CoeffTable().coefficient(1, 1, _HUGE), ValueError,
+         f"k = {_HUGE_TEXT} out of range [1, 2] for (i, j) = (1, 1)"),
+        (lambda: CoeffTable().coefficient(_HUGE, 1, 0), ValueError,
+         f"k = 0 out of range [1, 1{'0' * 4999}1] for (i, j) = ({_HUGE_TEXT}, 1)"),
+        # d = 4*10**5000 - 2 needs ch_{d+1} of a vector that carries three.
+        (lambda: descend(projective_space(3).vector, _HUGE), InsufficientScalarsError,
+         f"descent to a dimension-3{'9' * 4999}8 family needs ch_3{'9' * 5000}, "
+         "but its source only carries scalars up to degree 3"),
+        (lambda: descend_direct(projective_space(3).vector, _HUGE, 1), DescentError,
+         "chain reaches family dimension 0 at level 3; "
+         f"no dimension-{_HUGE_TEXT} iterate exists"),
+        (lambda: descend_direct(SplitChernVector((-_HUGE, 1, 1)), 1, 1), DescentError,
+         f"chain reaches family dimension -1{'0' * 4999}2 at level 1; "
+         "no dimension-1 iterate exists"),
+        (lambda: iterate_scalar([1] * 3, _HUGE, 1), IndexError,
+         f"row ({_HUGE_TEXT}, 1) needs 1{'0' * 4999}1 scalars, got 3"),
+        (lambda: generating_polynomial(1, _HUGE), ValueError,
+         f"generating polynomials exist only for j in {{1, 2}}, got {_HUGE_TEXT}"),
+    ],
+    ids=[
+        "ch", "coefficient-k", "coefficient-i", "descend", "descend_direct-depth",
+        "descend_direct-dimension", "iterate_scalar", "generating_polynomial",
+    ],
+)
+def test_number_refusals_past_the_int_digit_limit_keep_their_text(call, error, text):
+    # Only requests the library refuses: a valid request this large would
+    # start work that nothing bounds.
+    with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == text

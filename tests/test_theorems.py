@@ -40,7 +40,9 @@ from fanodescent.theorems import (
     THM5_STRONG,
     THEOREMS,
     CertificateError,
+    CertificateLevel,
     HypothesisReport,
+    MarginRow,
     check_hypotheses,
     check_thm4,
     check_thm5,
@@ -832,3 +834,32 @@ def test_public_results_round_trip_through_pickle_and_deepcopy():
             assert type(copied) is type(err)
             assert str(copied) == str(err)
             assert [getattr(copied, a) for a in attrs] == [getattr(err, a) for a in attrs]
+
+
+def test_rows_keep_their_record_contract_and_are_tuples():
+    v = projective_space(3).vector
+    row = check_hypotheses(v, 3, THM4).per_k[0]
+    level = proof_trace(v, 3, THM4).per_level[0]
+    assert MarginRow._fields == ("k", "threshold", "actual")
+    assert CertificateLevel._fields == (
+        "level", "dim_bound", "c1_margin", "t2ch2_bound", "t2ch2_asserted"
+    )
+    assert repr(row) == "MarginRow(k=1, threshold=Fraction(4, 1), actual=Fraction(4, 1))"
+    assert repr(level) == (
+        "CertificateLevel(level=1, dim_bound=Fraction(2, 1), c1_margin=Fraction(1, 1), "
+        "t2ch2_bound=Fraction(2, 1), t2ch2_asserted=True)"
+    )
+    for value in (row, level):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+            assert repr(copied) == repr(value)
+    # The deliberate change from frozen dataclasses: a row is the tuple of
+    # its fields.
+    k, threshold, actual = row
+    assert row == (k, threshold, actual) == (1, Fraction(4), Fraction(4))
+    assert level == (1, Fraction(2), Fraction(1), Fraction(2), True)
+    assert row.margin == 0
