@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice, repeat, zip_longest
 from math import factorial, gcd, lcm
-from operator import add, floordiv, mul
+from operator import add, floordiv, itemgetter, mul
 from typing import Iterator, Sequence
 
 from .exact import (
@@ -259,14 +259,28 @@ def _pascal_step(moments: Sequence[int], den: int, d: int) -> list[int]:
 def _power_sums(moments: Sequence[int], top: int) -> list[int]:
     """rho_k = sum_{l<=k} S2(k, l) * l! * lambda_l for k = 1..top, over the moments' denominator.
 
-    The inverse of ``_binomial_moments``, read from ``_SURJECTIONS``; a
-    sum stops at the last stored moment, so its trailing zeros cost
-    nothing.
+    The inverse of ``_binomial_moments``, summed by columns of
+    ``_SURJECTIONS``.  Column 1 is all ones, so the sums start as
+    lambda_1; each further nonzero moment lambda_l, l <= top, adds
+    lambda_l times column l, rows l..top, in one pass.  A zero moment
+    costs nothing, and ``_SURJECTIONS`` is read only when a moment past
+    the first is stored: P^n ([n + 1]) takes no pass and Q^n ([n, -1])
+    one, while a dense vector still costs about top^2 / 2 multiply-adds.
     """
-    _SURJECTIONS.upto(top)
-    # S2(k, 0) = 0 for k >= 1 meets the padding.
-    padded = [0, *moments]
-    return [sum(map(mul, row, padded)) for row in _SURJECTIONS.data[1 : top + 1]]
+    sums = [moments[0] if moments else 0] * top
+    if len(moments) > 1:
+        _SURJECTIONS.upto(top)
+        # Rows top..1 and the sums from rho_top down, so that rows l..top
+        # are a prefix: the pass reads the sums in place and stops at the
+        # column's end, and the slice is assigned once the pass is done.
+        rows = _SURJECTIONS.data[top:0:-1]
+        for l in range(2, min(len(moments), top) + 1):
+            moment = moments[l - 1]
+            if moment:
+                column = map(itemgetter(l), rows[: top - l + 1])
+                sums[: top - l + 1] = map(add, sums, map(mul, column, repeat(moment)))
+        sums.reverse()
+    return sums
 
 
 class CoeffTable:

@@ -235,14 +235,22 @@ def _weighted(v: SplitChernVector, a: int, top: int) -> tuple[list[int], int]:
     return scaled, common
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def _from_power_sums(sums: list[int], den: int, label: str | None = None) -> SplitChernVector:
     """The vector with r_k = sums[k-1] / (k! * den), k = 1..len(sums).
 
     Each scalar is one Fraction built from its integer pair by
-    ``exact._fraction`` (den > 0, one gcd).
+    ``exact._fraction`` (den > 0, one gcd), so the vector is built without
+    ``__post_init__``, whose coercion and refusal of an empty vector have
+    nothing to do here: every caller passes at least one power sum.
     """
     facts = accumulate(range(1, len(sums) + 1), mul)
-    return SplitChernVector(tuple([_fraction(p, f * den) for p, f in zip(sums, facts)]), label)
+    v = _new(SplitChernVector)
+    _set(v, "scalars", tuple([_fraction(p, f * den) for p, f in zip(sums, facts)]))
+    _set(v, "label", label)
+    return v
 
 
 def _at_depth(
@@ -323,8 +331,9 @@ def _moment_walk(v: SplitChernVector) -> Callable[[int], DescentStep]:
     after a step of degree a != 1, which scales rho_k by a^k.  Since
     r_1 = lambda_1, the family dimension is read off lambda_1; a step of
     degree 1 is then the Pascal step lambda_l + lambda_{l+1} - [l = 1],
-    l = 1..d, and the member's scalars k! * r_k are read back by sums
-    that stop at the last nonzero moment.  No coefficient row is read.
+    l = 1..d, and the member's scalars k! * r_k are read back one column
+    of surjection numbers per nonzero moment (``coeffs._power_sums``).
+    No coefficient row is read.
     """
     moments: list[int] | None = None
     r = v.scalars[0]
@@ -365,14 +374,15 @@ def descend_chain(
     On an honest table (``table`` None or built without a Bernoulli
     prefix) the walk carries the members' binomial moments from step to
     step (``_moment_walk``): a degree-1 step to a dimension-d family is
-    one Pascal step, O(d), and its d scalars are read back by sums that
-    stop at the last nonzero moment.  The catalogue's moments have one
-    or two nonzero entries, so a walk on P^n or Q^n costs O(n^2) besides
-    one Fraction per reported scalar (one gcd each, by
-    ``exact._fraction``), where rows cost about n^3 / 6 multiply-adds; a
-    dense vector still costs about n^3 / 6.  A table with a prefix is
-    followed row by row through ``descend``, so a corrupted prefix is
-    followed exactly.
+    one Pascal step, O(d), and its d scalars are read back one column
+    per nonzero moment: lambda_1 fills them all, and each further
+    nonzero lambda_l adds one pass over d - l + 1 of them.  The
+    catalogue's moments have one or two nonzero entries, so a walk on
+    P^n or Q^n costs O(n^2) besides one Fraction per reported scalar (one
+    gcd each, by ``exact._fraction``), where rows cost about n^3 / 6
+    multiply-adds; a dense vector still costs about n^3 / 6.  A table
+    with a prefix is followed row by row through ``descend``, so a
+    corrupted prefix is followed exactly.
     """
     if degrees is not None:
         for a in degrees:

@@ -71,13 +71,14 @@ def _fraction(num: int, den: int) -> Fraction:
 
 
 def _text(x: Fraction | int) -> str:
-    """``str(x)`` for an int or a Fraction, at any size.
+    """``str(x)``, for an int or a Fraction at any size.
 
     str() refuses an integer of more digits than
     ``sys.get_int_max_str_digits()`` allows (4300 by default); Decimal
     converts exactly at any size, so a number str() refuses goes through
-    it, and that process-wide limit is left alone.  Every number the
-    library prints, in a report or in an error message, is formatted here.
+    it, and that process-wide limit is left alone.  Any other value is
+    written by str() alone.  Every number the library prints, in a report
+    or in an error message, is formatted here.
     """
     try:
         return str(x)
@@ -111,7 +112,9 @@ def _shown(got: object) -> str:
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k), with C(n, k) = 0 whenever k > n."""
     if n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be non-negative, got ({n}, {k})")
+        raise ValueError(
+            f"binomial arguments must be non-negative, got ({_text(n)}, {_text(k)})"
+        )
     return math.comb(n, k)
 
 
@@ -123,7 +126,7 @@ def extend_bernoulli(values: list[Fraction], max_m: int) -> list[Fraction]:
     prefix (say with a flipped B_1) extends consistently from itself.
     """
     if max_m < 0:
-        raise ValueError(f"max_m must be >= 0, got {max_m}")
+        raise ValueError(f"max_m must be >= 0, got {_text(max_m)}")
     for m in range(len(values), max_m + 1):
         acc = sum(binomial(m + 1, j) * values[j] for j in range(m))
         values.append(Fraction(-acc, m + 1))
@@ -153,7 +156,9 @@ def compositions(k: int, n: int) -> Iterator[tuple[int, ...]]:
     generator is the brute-force oracle the tests compare them against.
     """
     if k < 1 or n < 1:
-        raise ValueError(f"compositions requires k >= 1 and n >= 1, got ({k}, {n})")
+        raise ValueError(
+            f"compositions requires k >= 1 and n >= 1, got ({_text(k)}, {_text(n)})"
+        )
     if k == 1:
         yield (n,)
         return
@@ -183,7 +188,7 @@ def elementary_symmetric(l: int, values: Sequence[Fraction | int]) -> Fraction:
     """Elementary symmetric polynomial e_l evaluated at the given values."""
     if l < 0 or l > len(values):
         raise ValueError(
-            f"elementary_symmetric index {l} out of range for {len(values)} values"
+            f"elementary_symmetric index {_text(l)} out of range for {len(values)} values"
         )
     *_, expansion = _symmetric_expansions(values)
     return Fraction(expansion[l])

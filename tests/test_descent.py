@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -31,6 +34,7 @@ from fanodescent.descent import (
     InsufficientScalarsError,
     NonIntegralDimensionError,
     SplitChernVector,
+    _from_power_sums,
     catalogue,
     descend,
     descend_chain,
@@ -837,8 +841,19 @@ def test_binomial_moments_of_complete_intersections():
             assert _binomial_moments(power_sums, 1) == (expected, 1), (big_n, d)
 
 
+def _power_sums_by_rows(moments, top):
+    """rho_k = sum_l S2(k, l) * l! * lambda_l, k = 1..top, by rows; the surjection
+    numbers by inclusion-exclusion, zero for l > k."""
+    def surjections(k, l):
+        return sum((-1) ** i * comb(l, i) * (l - i) ** k for i in range(l + 1))
+
+    return [sum(surjections(k, l) * m for l, m in enumerate(moments, 1)) for k in range(1, top + 1)]
+
+
 def test_power_sums_invert_binomial_moments_on_pool_vectors():
     rng = random.Random(61)
+    # Empty moments, interior zeros, and (for small top) more moments than top.
+    edges = [[], [5], [0, 0, 3], [3, 0, -2, 0, 7], [-1, 2, 0, 0, 0, 4], [0, 9]]
     for _ in range(300):
         n = rng.randint(1, 14)
         r = [rng.choice(_ORACLE_POOL) for _ in range(n)]
@@ -849,6 +864,34 @@ def test_power_sums_invert_binomial_moments_on_pool_vectors():
         assert len(moments) <= n and (not moments or moments[-1])
         sums = _power_sums(moments, n)
         assert [Fraction(p, den) for p in sums] == [Fraction(s, common) for s in scaled]
+        holed = moments[:]
+        if len(holed) > 2:
+            holed[rng.randrange(1, len(holed) - 1)] = 0
+        for top in range(1, n + 3):
+            for lam in (moments, holed):
+                assert _power_sums(lam, top) == _power_sums_by_rows(lam, top), (lam, top)
+    for lam in edges:
+        for top in range(1, 9):
+            assert _power_sums(lam, top) == _power_sums_by_rows(lam, top), (lam, top)
+
+
+def test_vectors_from_power_sums_equal_the_public_constructors():
+    rng = random.Random(67)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        den = rng.choice((1, 2, 3, 12, 35))
+        sums = [rng.randint(-50, 50) for _ in range(n)]
+        label = rng.choice((None, "X", "Q^3"))
+        built = _from_power_sums(sums, den, label)
+        public = SplitChernVector(
+            tuple(Fraction(p, factorial(k) * den) for k, p in enumerate(sums, 1)), label
+        )
+        for v in (built, pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            assert v == public and hash(v) == hash(public) and repr(v) == repr(public)
+            assert all(type(x) is Fraction for x in v.scalars)
+        assert pickle.dumps(built) == pickle.dumps(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.label = "Y"
 
 
 def test_one_pascal_step_is_one_catalogue_step():
@@ -888,10 +931,27 @@ def _cross_route_cases(seed, count):
         yield v, [rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 4))]
 
 
+def _complete_intersections(seed, count):
+    """Seeded (vector, degrees): a Fano type (d_1..d_c) in P^N, N <= 30, c = 1..3, each
+    d_i in 2..5.
+
+    rho_k = N + 1 - sum_i d_i^k for the N - c scalars, so the moments
+    are nonzero up to l = max d_i.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = rng.randint(1, 3)
+        ds = [rng.randint(2, 5) for _ in range(c)]
+        big_n = rng.randint(max(sum(ds), c + 1), 30)
+        sums = [big_n + 1 - sum(d**k for d in ds) for k in range(1, big_n - c + 1)]
+        v = SplitChernVector(tuple(Fraction(p, factorial(k)) for k, p in enumerate(sums, 1)))
+        yield v, rng.choice((None, [rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 4))]))
+
+
 def test_chain_on_moments_equals_chain_on_rows_on_random_vectors():
     rows = CoeffTable([Fraction(1)])
     seen = set()
-    for v, degrees in _cross_route_cases(71, 80):
+    for v, degrees in (*_cross_route_cases(71, 80), *_complete_intersections(73, 80)):
         outcome = _chain_outcome(v, degrees)
         assert outcome == _chain_outcome(v, degrees, rows), (v, degrees)
         seen.add(outcome[0] if isinstance(outcome, tuple) else outcome.terminal)

@@ -26,6 +26,7 @@ from fanodescent.exact import (
     binomial,
     compositions,
     elementary_symmetric,
+    extend_bernoulli,
 )
 
 
@@ -256,8 +257,11 @@ _HUGE = 10**5000
          "coefficient indices require i >= 0 and j >= 1, got (-1, "),
         (lambda: grassmannian(0, _HUGE), "grassmannian needs 0 < k < m, got (0, "),
         (lambda: composition_sum(0, _HUGE), "composition_sum requires 1 <= k <= n, got (0, "),
+        (lambda: binomial(-1, _HUGE), "binomial arguments must be non-negative, got (-1, "),
+        (lambda: list(compositions(0, _HUGE)),
+         "compositions requires k >= 1 and n >= 1, got (0, "),
     ],
-    ids=["coefficient", "grassmannian", "composition_sum"],
+    ids=["coefficient", "grassmannian", "composition_sum", "binomial", "compositions"],
 )
 def test_pair_refusals_past_the_int_digit_limit_keep_their_text(call, head):
     with pytest.raises(ValueError) as excinfo:
@@ -291,15 +295,41 @@ _HUGE_TEXT = f"1{'0' * 5000}"
          f"row ({_HUGE_TEXT}, 1) needs 1{'0' * 4999}1 scalars, got 3"),
         (lambda: generating_polynomial(1, _HUGE), ValueError,
          f"generating polynomials exist only for j in {{1, 2}}, got {_HUGE_TEXT}"),
+        (lambda: extend_bernoulli([], -_HUGE), ValueError, f"max_m must be >= 0, got -{_HUGE_TEXT}"),
+        (lambda: elementary_symmetric(_HUGE, [1]), ValueError,
+         f"elementary_symmetric index {_HUGE_TEXT} out of range for 1 values"),
     ],
     ids=[
         "ch", "coefficient-k", "coefficient-i", "descend", "descend_direct-depth",
         "descend_direct-dimension", "iterate_scalar", "generating_polynomial",
+        "extend_bernoulli", "elementary_symmetric",
     ],
 )
 def test_number_refusals_past_the_int_digit_limit_keep_their_text(call, error, text):
     # Only requests the library refuses: a valid request this large would
     # start work that nothing bounds.
     with pytest.raises(error) as excinfo:
+        call()
+    assert str(excinfo.value) == text
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: binomial(Fraction(-1, 2), 3),
+         "binomial arguments must be non-negative, got (-1/2, 3)"),
+        (lambda: binomial(2, -1.5), "binomial arguments must be non-negative, got (2, -1.5)"),
+        (lambda: list(compositions(Fraction(1, 2), 3)),
+         "compositions requires k >= 1 and n >= 1, got (1/2, 3)"),
+        (lambda: extend_bernoulli([], Fraction(-1, 2)), "max_m must be >= 0, got -1/2"),
+        (lambda: elementary_symmetric(-0.5, [1]),
+         "elementary_symmetric index -0.5 out of range for 1 values"),
+    ],
+    ids=["binomial-fraction", "binomial-float", "compositions", "extend_bernoulli",
+         "elementary_symmetric"],
+)
+def test_exact_refusals_write_arguments_that_are_not_ints_as_str_does(call, text):
+    # Only an int is formatted past the digit limit; a Fraction still reads p/q.
+    with pytest.raises(ValueError) as excinfo:
         call()
     assert str(excinfo.value) == text
