@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import run_cli
 from fanodescent import cli, coeffs
@@ -160,6 +161,67 @@ def test_json_writer_refuses_anything_else(obj):
     report = RunReport("verify", {}, {"value": obj}, "pass", 0)
     with pytest.raises(TypeError):
         report.to_json()
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.text(max_size=4)
+)
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+        max_leaves=12,
+    )
+
+
+@st.composite
+def _trees_reusing_lists(draw):
+    # One list object reached several times, at the same indent and at
+    # others, and itself holding another reused list.
+    inner = draw(st.lists(_JSON_LEAVES, min_size=1, max_size=3))
+    shared = draw(st.lists(_json_trees(_JSON_LEAVES | st.just(inner)), min_size=1, max_size=3))
+    tree = draw(_json_trees(_JSON_LEAVES | st.just(inner) | st.just(shared)))
+    return [shared, shared, {"again": shared, "tree": tree}, [inner, [shared], tree], inner]
+
+
+@given(_trees_reusing_lists())
+def test_json_writer_matches_json_dumps_on_reused_lists(obj):
+    assert _written(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_refuses_a_float_in_a_reused_list():
+    reused = ["x", [1, 0.5]]
+    for obj in ([reused, reused], {"a": reused, "b": [reused]}, [[reused], reused]):
+        with pytest.raises(TypeError, match="float"):
+            _written(obj)
+
+
+def test_verify_shares_one_list_among_passing_depths():
+    args = cli.build_parser().parse_args(["verify", "--max-i", "12", "--json"])
+    report = cli.cmd_verify(args)
+    depths = report.results["reports"]
+    assert [d["passed"] for d in depths] == [True] * 12
+    assert all(d["checks"] is depths[0]["checks"] for d in depths)
+    copy = RunReport.from_json(report.to_json())
+    assert copy == report
+    assert copy.results["reports"][0]["checks"] is not copy.results["reports"][1]["checks"]
+    assert cli.render_verify(copy) == cli.render_verify(report)
+    assert copy.to_json() == report.to_json()
+
+
+def test_verify_gives_each_failing_depth_its_own_list():
+    args = cli.build_parser().parse_args(
+        ["verify", "--max-i", "2", "--max-n", "4", "--flip-b1", "--json"]
+    )
+    report = cli.cmd_verify(args)
+    depths = report.results["reports"]
+    assert [d["passed"] for d in depths] == [False, False]
+    assert depths[0]["checks"] is not depths[1]["checks"]
+    golden = json.loads((GOLDEN / "verify_flip_b1.json").read_text())
+    assert [d["checks"] for d in depths] == [d["checks"] for d in golden["results"]["reports"]]
+    assert RunReport.from_json(report.to_json()) == report
 
 
 @pytest.mark.parametrize("value", ["0.5", "1e3", "-0.0", "NaN", "-Infinity"])
