@@ -7,117 +7,12 @@ families of positivity hypotheses with exact proof-trace certificates.
 All arithmetic is exact; no floating point appears anywhere.
 """
 
-from .exact import (
-    Rational,
-    bernoulli_table,
-    binomial,
-    compositions,
-    elementary_symmetric,
-)
-from .coeffs import (
-    CoeffTable,
-    Polynomial,
-    IdentityCheck,
-    IdentityReport,
-    Discrepancy,
-    ch1_coefficient_closed,
-    ch2_coefficient_closed,
-    composition_sum,
-    composition_symmetric_check,
-    descent_coefficient,
-    generating_polynomial,
-    shared_table,
-    verify_identities,
-)
-from .descent import (
-    CatalogueEntry,
-    ChainReport,
-    DescentError,
-    DescentStep,
-    InsufficientScalarsError,
-    NonIntegralDimensionError,
-    SplitChernVector,
-    catalogue,
-    descend,
-    descend_chain,
-    descend_direct,
-    family_dimension,
-    grassmannian,
-    iterate_scalar,
-    projective_space,
-    quadric,
-)
-from .theorems import (
-    Certificate,
-    CertificateError,
-    CertificateLevel,
-    HypothesisReport,
-    MarginRow,
-    THM4,
-    THM5,
-    THM5_STRONG,
-    check_hypotheses,
-    check_thm4,
-    check_thm5,
-    hypothesis_threshold,
-    max_m,
-    proof_trace,
-    proof_trace_thm4,
-    proof_trace_thm5,
-)
+from . import coeffs, descent, exact, theorems
+from .exact import *
+from .coeffs import *
+from .descent import *
+from .theorems import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Rational",
-    "bernoulli_table",
-    "binomial",
-    "compositions",
-    "elementary_symmetric",
-    "CoeffTable",
-    "Polynomial",
-    "IdentityCheck",
-    "IdentityReport",
-    "Discrepancy",
-    "ch1_coefficient_closed",
-    "ch2_coefficient_closed",
-    "composition_sum",
-    "composition_symmetric_check",
-    "descent_coefficient",
-    "generating_polynomial",
-    "shared_table",
-    "verify_identities",
-    "CatalogueEntry",
-    "ChainReport",
-    "DescentError",
-    "DescentStep",
-    "InsufficientScalarsError",
-    "NonIntegralDimensionError",
-    "SplitChernVector",
-    "catalogue",
-    "descend",
-    "descend_chain",
-    "descend_direct",
-    "family_dimension",
-    "grassmannian",
-    "iterate_scalar",
-    "projective_space",
-    "quadric",
-    "Certificate",
-    "CertificateError",
-    "CertificateLevel",
-    "HypothesisReport",
-    "MarginRow",
-    "THM4",
-    "THM5",
-    "THM5_STRONG",
-    "check_hypotheses",
-    "check_thm4",
-    "check_thm5",
-    "hypothesis_threshold",
-    "max_m",
-    "proof_trace",
-    "proof_trace_thm4",
-    "proof_trace_thm5",
-    "__version__",
-]
+__all__ = [*exact.__all__, *coeffs.__all__, *descent.__all__, *theorems.__all__, "__version__"]

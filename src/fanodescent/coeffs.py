@@ -68,6 +68,7 @@ from typing import Iterator, Sequence
 
 from .exact import (
     _check_int,
+    _check_sequence,
     _fraction,
     _shown,
     _symmetric_expansions,
@@ -369,6 +370,7 @@ class CoeffTable:
         # No prefix: the closed route; a prefix: the Toeplitz route.
         self._closed = bernoulli is None
         if not self._closed:
+            _check_sequence(bernoulli, "bernoulli")
             prefix = [as_rational(b) for b in bernoulli]
             if not prefix or prefix[0] != 1:
                 raise ValueError("B_0 must be 1")
@@ -544,9 +546,11 @@ def _over_common(x: Sequence[Fraction | int]) -> tuple[list[int], int]:
 def _row_scalars(i: int, j: int, x: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The i + j scalars that row (i, j) reads from ``x``, over one denominator.
 
-    Checks the indices and that ``x`` holds at least i + j scalars.
+    Checks the indices, that ``x`` is not a str or bytes, and that it
+    holds at least i + j scalars.
     """
     _check_indices(i, j)
+    _check_sequence(x, "x")
     n = i + j
     if len(x) < n:
         raise IndexError(f"row {_shown((i, j))} needs {_text(n)} scalars, got {len(x)}")

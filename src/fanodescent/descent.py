@@ -42,7 +42,7 @@ from .coeffs import (
     _row_scalars,
     shared_table,
 )
-from .exact import _check_int, _fraction, _shown, _text, as_rational
+from .exact import _check_int, _check_sequence, _fraction, _shown, _text, as_rational
 
 __all__ = [
     "DescentError",
@@ -112,6 +112,7 @@ class SplitChernVector:
     label: str | None = None
 
     def __post_init__(self):
+        _check_sequence(self.scalars, "scalars")
         # Tuples are built from lists here and in the descent and gate
         # results: tuple() over a generator over-allocates and then
         # shrinks, and the shrunk tuples pile up in the interpreter's tuple
@@ -385,6 +386,7 @@ def descend_chain(
     corrupted prefix is followed exactly.
     """
     if degrees is not None:
+        _check_sequence(degrees, "degrees")
         for a in degrees:
             _check_int(a, 1, _DEGREE)
     if _honest(table):
@@ -524,6 +526,7 @@ def catalogue(name: str, params: tuple[int, ...] | list[int]) -> CatalogueEntry:
             f"unknown manifold family {name!r}; choose from {', '.join(CATALOGUE_NAMES)}"
         )
     builder, arity = _BUILDERS[name]
+    _check_sequence(params, "params")
     params = tuple(params)
     if len(params) != arity:
         raise ValueError(f"{name} takes {arity} integer parameter(s), got {len(params)}")

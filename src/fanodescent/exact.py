@@ -100,6 +100,22 @@ def _check_int(value: int, least: int, rule: str, got: object = None) -> None:
         raise ValueError(f"{rule}, got {_shown(value if got is None else got)}")
 
 
+def _check_sequence(value: object, name: str) -> None:
+    """Refuse a str, bytes or bytearray given as the sequence ``name``.
+
+    Each is a sequence, so iterating one would silently read its
+    characters or byte values as entries.
+    """
+    if isinstance(value, (str, bytes, bytearray)):
+        raise ValueError(f"{name} must be a sequence of numbers, got {type(value).__name__}")
+
+
+def _check_flag(value: object, name: str) -> None:
+    """Refuse ``value`` unless it is True or False: no other truthy value counts."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+
+
 def _shown(got: object) -> str:
     """``got`` as ``_check_int`` writes it."""
     if type(got) is int:

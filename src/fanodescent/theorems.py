@@ -57,7 +57,7 @@ from typing import Iterator, NamedTuple
 
 from .coeffs import CoeffTable, _binomial_moments, _honest, _over_common, _pascal_step
 from .descent import SplitChernVector
-from .exact import _check_int, _fraction, _text
+from .exact import _check_flag, _check_int, _fraction, _text
 
 __all__ = [
     "THM4",
@@ -227,6 +227,7 @@ def check_thm5(
     projective m-spaces.  ``N_lower_ge_m`` needs the further caller
     assertion that every minimal family parametrizes degree-1 curves.
     """
+    _check_flag(strong, "strong")
     return check_hypotheses(
         v, m, THM5_STRONG if strong else THM5,
         all_families_degree_one=all_families_degree_one,
@@ -260,9 +261,12 @@ def check_hypotheses(
     """Check the named gate at level m, degree by degree.
 
     Each gate honours one caller assertion: ``degree_one_cover`` for
-    thm4, ``all_families_degree_one`` for the thm5 pair.
+    thm4, ``all_families_degree_one`` for the thm5 pair.  Both must be
+    bools, as must ``strong`` and ``at_actual`` elsewhere in this module.
     """
     gate = _checked_gate(v, m, theorem)
+    _check_flag(degree_one_cover, "degree_one_cover")
+    _check_flag(all_families_degree_one, "all_families_degree_one")
     slope_m = gate.slope * m
     rows, passed, fact = [], True, 1
     for k, r, offset in zip(range(1, m + 1), v.scalars, gate.offsets()):
@@ -471,6 +475,7 @@ def proof_trace(
     closed downward.
     """
     gate = _checked_gate(v, m, theorem)
+    _check_flag(at_actual, "at_actual")
     if m > max_m(v, theorem):
         raise ValueError(
             f"gate {theorem} fails for m = {m}; no certificate can be issued"
@@ -572,4 +577,5 @@ def proof_trace_thm5(
     three by the larger thresholds (2m-2i, 2m-2i, m-i) and asserts the
     ch_2 bound >= 1 at every level, which pins every curve degree to 1.
     """
+    _check_flag(strong, "strong")
     return proof_trace(v, m, THM5_STRONG if strong else THM5, table, at_actual)

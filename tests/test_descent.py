@@ -90,6 +90,32 @@ def test_vector_rejects_float_and_bool_scalars(bad):
         SplitChernVector((bad, 2))
 
 
+# Each entry that takes a sequence of numbers refuses a str or bytes, which
+# would otherwise be read character by character or byte by byte.
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: SplitChernVector("123"), "scalars must be a sequence of numbers, got str"),
+        (lambda: SplitChernVector(b"12"), "scalars must be a sequence of numbers, got bytes"),
+        (lambda: iterate_scalar("555", 1, 1), "x must be a sequence of numbers, got str"),
+        (lambda: CoeffTable().dot(1, 1, b"12"), "x must be a sequence of numbers, got bytes"),
+        (lambda: CoeffTable("10"), "bernoulli must be a sequence of numbers, got str"),
+        (
+            lambda: descend_chain(projective_space(3).vector, b"\x01\x01"),
+            "degrees must be a sequence of numbers, got bytes",
+        ),
+        (
+            lambda: catalogue("projective_space", b"\x04"),
+            "params must be a sequence of numbers, got bytes",
+        ),
+    ],
+    ids=["vector-str", "vector-bytes", "iterate_scalar", "dot", "table", "chain", "catalogue"],
+)
+def test_sequence_entries_refuse_str_and_bytes(call, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        call()
+
+
 def test_vector_accepts_exact_scalars():
     v = SplitChernVector((3, Fraction(1, 2), "-2/3"))
     assert v.scalars == (3, Fraction(1, 2), Fraction(-2, 3))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -133,22 +134,24 @@ def test_scaling_parent_src_alternates_in_one_record(tmp_path):
 
 
 # Measures each child given in argv[4] (a JSON list of -c codes) once,
-# from a fresh driver that first fills argv[3] MB of its own.
+# from a fresh driver that first fills argv[3] MB of its own; argv[5] is
+# the children's bytecode cache.
 _PEAKS = (
     "import importlib.util, json, sys\n"
     "ballast = bytes([1]) * (int(sys.argv[3]) << 20)\n"
     "spec = importlib.util.spec_from_file_location('scaling', sys.argv[1])\n"
     "scaling = importlib.util.module_from_spec(spec)\n"
     "spec.loader.exec_module(scaling)\n"
-    "src = {'x': sys.argv[2]}\n"
+    "envs = {'x': scaling.child_env(sys.argv[2], sys.argv[5])}\n"
     "codes = json.loads(sys.argv[4])\n"
-    "print(json.dumps([scaling.measure(src, ['-c', c], 1)['x'] for c in codes]))\n"
+    "print(json.dumps([scaling.measure(envs, ['-c', c], 1)['x'] for c in codes]))\n"
 )
 
 
-def _peaks(ballast_mb: int, codes: list[str]) -> list[dict]:
+def _peaks(ballast_mb: int, codes: list[str], cache: Path) -> list[dict]:
     proc = subprocess.run(
-        [sys.executable, "-c", _PEAKS, str(SCRIPT), str(SRC), str(ballast_mb), json.dumps(codes)],
+        [sys.executable, "-c", _PEAKS, str(SCRIPT), str(SRC), str(ballast_mb), json.dumps(codes),
+         str(cache)],
         capture_output=True,
         text=True,
     )
@@ -158,7 +161,7 @@ def _peaks(ballast_mb: int, codes: list[str]) -> list[dict]:
     return summaries
 
 
-def test_peak_rss_is_each_childs_own():
+def test_peak_rss_is_each_childs_own(tmp_path):
     # A child that fills 48 MB, one that prints 48 MB and one that does
     # nothing: each later peak is that child's own, not the largest of
     # every child so far.
@@ -166,7 +169,7 @@ def test_peak_rss_is_each_childs_own():
         "x = bytes([1]) * (48 << 20)",
         "import sys\nfor _ in range(48): sys.stdout.buffer.write(bytes(1 << 20))",
         "pass",
-    ])
+    ], tmp_path)
     assert big["peak_rss_mb"][0] > 48
     # The 48 MB of output are hashed as they come, never held by the script.
     assert printer["report_sha256"] == hashlib.sha256(bytes(48 << 20)).hexdigest()
@@ -174,9 +177,39 @@ def test_peak_rss_is_each_childs_own():
     assert small["peak_rss_mb"][0] < big["peak_rss_mb"][0] - 32
     # From a driver holding 40 MB: a reading that counted the memory the
     # child was started from (ru_maxrss on Linux) would stay above 40 MB.
-    small, thirty = _peaks(40, ["pass", "x = bytes([1]) * (30 << 20)"])
+    small, thirty = _peaks(40, ["pass", "x = bytes([1]) * (30 << 20)"], tmp_path)
     assert small["peak_rss_mb"][0] < 32
     assert 30 < thirty["peak_rss_mb"][0] < small["peak_rss_mb"][0] + 35
+
+
+def test_children_run_bytecode_from_a_cache_outside_the_source(tmp_path, monkeypatch):
+    # Even where this process writes no bytecode, a child writes the
+    # package's to its own cache, so later children do not compile it.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    scaling = _script()
+    sources = {}
+    for label in ("parent", "change"):
+        sources[label] = tmp_path / label / "src"
+        shutil.copytree(SRC / "fanodescent", sources[label] / "fanodescent",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    env = scaling.child_env(sources["change"], cache)
+    assert "PYTHONDONTWRITEBYTECODE" not in env
+    assert env["PYTHONPATH"] == str(sources["change"])
+    assert env["PYTHONPYCACHEPREFIX"] == str(cache)
+    assert env["PYTHONHASHSEED"] == "0"
+    assert scaling._run_child(["-c", "import fanodescent.cli"], env)[1] == 0
+    compiled = {p.name.split(".")[0] for p in cache.rglob("fanodescent/*.pyc")}
+    assert {"__init__", "cli", "coeffs", "descent", "exact", "theorems"} <= compiled
+    # A whole record writes nothing under either source.
+    out = tmp_path / "bench.json"
+    assert scaling.main([
+        "--out", str(out), "--parent-src", str(sources["parent"]), "--src", str(sources["change"]),
+        "--repeats", "1", "--verify", "2", "--check", "2", "--chain", "2", "--direct", "3",
+        "--certify", "1",
+    ]) == 0
+    for src in sources.values():
+        assert not list(src.rglob("__pycache__"))
 
 
 @pytest.mark.parametrize("extra", [[], ["--label", "change", "--parent-src", str(SRC)]])

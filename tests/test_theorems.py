@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import factorial, gcd
 
@@ -353,6 +354,39 @@ def test_trace_refusals_before_the_gate_match_the_gate_check(m, theorem):
     with pytest.raises(ValueError) as got:
         proof_trace(v, m, theorem)
     assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("bad", [[0], "no", "false", 1, 0, None])
+def test_assertions_and_modes_refuse_values_that_are_not_bools(bad, monkeypatch):
+    import fanodescent.theorems as theorems
+
+    v = projective_space(6).vector
+    calls = {
+        "degree_one_cover": [
+            lambda: check_hypotheses(v, 4, THM4, degree_one_cover=bad),
+            lambda: check_thm4(v, 4, degree_one_cover=bad),
+        ],
+        "all_families_degree_one": [
+            lambda: check_hypotheses(v, 3, THM5, all_families_degree_one=bad),
+            lambda: check_thm5(v, 3, all_families_degree_one=bad),
+        ],
+        "at_actual": [
+            lambda: proof_trace(v, 4, THM4, at_actual=bad),
+            lambda: proof_trace_thm4(v, 4, at_actual=bad),
+            lambda: proof_trace_thm5(v, 3, at_actual=bad),
+        ],
+        "strong": [
+            lambda: check_thm5(v, 3, strong=bad),
+            lambda: proof_trace_thm5(v, 3, strong=bad),
+        ],
+    }
+    # Refused before the gate is decided: no degree or level is looked at.
+    monkeypatch.setattr(theorems, "max_m", None)
+    monkeypatch.setattr(theorems, "MarginRow", None)
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be True or False, got {bad!r}")):
+                call()
 
 
 def test_unknown_gate_is_rejected_everywhere():

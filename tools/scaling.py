@@ -17,6 +17,12 @@ at exit to a pipe it inherits, so its stdout is what the case prints.
 The hash shows whether two sources give byte-identical output; a case
 whose runs disagree, or that exits non-zero, makes the script exit 1.
 
+The times are of bytecode, not of compilation: each source gets its own
+bytecode cache (``PYTHONPYCACHEPREFIX``) in a temporary directory, filled
+by one untimed ``import fanodescent.cli`` child before the first case,
+so nothing is written under either source and a case's time and peak do
+not move with the size of the source text.
+
 Usage (standard library only):
 
     python tools/scaling.py --out BENCH_N.json --parent-src OTHER/src
@@ -38,6 +44,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -153,18 +160,32 @@ def machine() -> dict:
     }
 
 
-def measure(sources: dict[str, Path], argv: list[str], repeats: int) -> dict[str, dict]:
-    """Run one case ``repeats`` times per source, each in a fresh interpreter given ``argv``.
+def child_env(src: Path, cache: Path) -> dict[str, str]:
+    """The environment of a child run against the package under ``src``.
 
-    Each repeat runs every source once, in the given order on even
+    This process's own, with the package on the path, string hashing
+    fixed, and bytecode written to and read from the tree under
+    ``cache`` instead of ``__pycache__`` directories beside the source;
+    ``PYTHONDONTWRITEBYTECODE`` is dropped, since with it every child
+    would compile the package again.
+    """
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONPYCACHEPREFIX=str(cache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def measure(envs: dict[str, dict], argv: list[str], repeats: int) -> dict[str, dict]:
+    """Run one case ``repeats`` times per label, each in a fresh interpreter given ``argv``.
+
+    ``envs`` maps each label to its child environment (see ``child_env``).
+    Each repeat runs every label once, in the given order on even
     repeats and reversed on odd ones.  Returns one summary per label.
     """
     # Per label: wall times, exit codes, digests and peaks, in _run_child's order.
-    runs = {label: ([], [], [], []) for label in sources}
-    order = list(sources.items())
+    runs = {label: ([], [], [], []) for label in envs}
+    order = list(envs.items())
     for repeat in range(repeats):
-        for label, src in order if repeat % 2 == 0 else order[::-1]:
-            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+        for label, env in order if repeat % 2 == 0 else order[::-1]:
             for values, value in zip(runs[label], _run_child(argv, env)):
                 values.append(value)
     return {label: _summary(argv, *run) for label, run in runs.items()}
@@ -267,16 +288,21 @@ def main(argv: list[str] | None = None) -> int:
 
     results = {label: [] for label in sources}
     ok = True
-    for name, case_argv in cases(args.verify, args.check, args.chain, args.direct, args.certify):
-        for label, summary in measure(sources, case_argv, args.repeats).items():
-            result = {"name": name, **summary}
-            results[label].append(result)
-            clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
-            ok = ok and clean
-            print(f"{name} [{label}]: median {result['median_s']} s, "
-                  f"{result['median_peak_rss_mb']} MB"
-                  + ("" if clean else f", exit codes {result['exit_codes']}, reports differ or fail"),
-                  file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="scaling-pycache-") as caches:
+        envs = {label: child_env(src, Path(caches) / label) for label, src in sources.items()}
+        # Untimed: each source's package is compiled into its cache here.
+        for env in envs.values():
+            _run_child(["-c", "import fanodescent.cli"], env)
+        for name, case_argv in cases(args.verify, args.check, args.chain, args.direct, args.certify):
+            for label, summary in measure(envs, case_argv, args.repeats).items():
+                result = {"name": name, **summary}
+                results[label].append(result)
+                clean = set(result["exit_codes"]) == {0} and result["reports_identical"]
+                ok = ok and clean
+                print(f"{name} [{label}]: median {result['median_s']} s, "
+                      f"{result['median_peak_rss_mb']} MB"
+                      + ("" if clean else f", exit codes {result['exit_codes']}, reports differ or fail"),
+                      file=sys.stderr)
 
     record = {
         "runs": {
