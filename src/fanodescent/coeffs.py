@@ -546,8 +546,8 @@ def _over_common(x: Sequence[Fraction | int]) -> tuple[list[int], int]:
 def _row_scalars(i: int, j: int, x: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The i + j scalars that row (i, j) reads from ``x``, over one denominator.
 
-    Checks the indices, that ``x`` is not a str or bytes, and that it
-    holds at least i + j scalars.
+    Checks the indices, that ``x`` is not a str, bytes, set or mapping,
+    and that it holds at least i + j scalars.
     """
     _check_indices(i, j)
     _check_sequence(x, "x")

@@ -483,15 +483,22 @@ _GRASSMANNIAN = "grassmannian needs 0 < k < m"
 
 
 def grassmannian(k: int, m: int) -> CatalogueEntry:
-    """G(k, m): chain shape only.
+    """G(k, m) for 2 <= k <= m - 2: chain shape only.
 
-    The first family is a product of projective spaces, which has no
-    split vector, so no descent is possible; the two chain branches and
-    the resulting invariants min{k, m-k} and max{k, m-k} are catalogued
-    as stated shapes.
+    The first family is a product P^{k-1} x P^{m-k-1} of projective
+    spaces, which has no split vector, so no descent is possible; the two
+    chain branches and the resulting invariants min{k, m-k} and
+    max{k, m-k} are catalogued as stated shapes.  G(1, m) and G(m-1, m)
+    are the projective space P^{m-1}, whose first family P^{m-2} is
+    split, so they are refused in favour of ``projective_space``.
     """
     _check_int(k, 1, _GRASSMANNIAN, (k, m))
     _check_int(m, k + 1, _GRASSMANNIAN, (k, m))
+    if k in (1, m - 1):
+        n = _text(m - 1)
+        raise ValueError(
+            f"G({_text(k)},{_text(m)}) is the projective space P^{n}; use projective_space({n})"
+        )
     head = (f"G({k},{m})", f"P^{k - 1}xP^{m - k - 1}")
 
     def branch(top: int) -> tuple[str, ...]:

@@ -10,6 +10,7 @@ exact arithmetic on arbitrary-precision integers).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
@@ -101,12 +102,15 @@ def _check_int(value: int, least: int, rule: str, got: object = None) -> None:
 
 
 def _check_sequence(value: object, name: str) -> None:
-    """Refuse a str, bytes or bytearray given as the sequence ``name``.
+    """Refuse a str, bytes, bytearray, set or mapping given as the sequence ``name``.
 
-    Each is a sequence, so iterating one would silently read its
-    characters or byte values as entries.
+    Iterating one would silently read its characters or byte values as
+    entries, a set's members in an order that is not the caller's, or a
+    mapping's keys in place of its values.  ``collections.abc.Set`` and
+    ``Mapping`` cover frozensets, dict views of keys and the like; other
+    iterables, generators among them, are taken in their own order.
     """
-    if isinstance(value, (str, bytes, bytearray)):
+    if isinstance(value, (str, bytes, bytearray, Set, Mapping)):
         raise ValueError(f"{name} must be a sequence of numbers, got {type(value).__name__}")
 
 

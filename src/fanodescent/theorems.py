@@ -13,13 +13,16 @@ chain behind those conclusions level by level, computing every bound
 twice: once through the full coefficient sums and once through the
 simplified closed expressions; the two routes must agree exactly.
 
-Gates and certificates decide in integers.  A degree passes when
-r_k.numerator * k! >= (slope*m + offset(k)) * r_k.denominator, and a
-certificate bound is an unreduced pair (numerator, denominator > 0)
-compared with its closed form and its requirement by cross-multiplying.
-The loops read a Fraction's ``_numerator`` and ``_denominator`` slots,
-advance 2^k by doubling and k! by one product per degree, and advance
-the closed forms by one step per level.  One Fraction is built per
+Gates and certificates decide in integers.  Each gate's thresholds are
+computed in one place, ``_Gate``: ``bound(m, k)`` is the integer
+k! * threshold = slope*m + offset(k), and ``bounds(m)`` yields those
+integers for k = 1, 2, ..., advancing 2^k by doubling.  A degree passes
+when r_k.numerator * k! >= bound * r_k.denominator, and a certificate
+bound is an unreduced pair (numerator, denominator > 0) compared with
+its closed form and its requirement by cross-multiplying.  The loops
+read a Fraction's ``_numerator`` and ``_denominator`` slots, advance k!
+by one product per degree, and read every closed form of a level off
+one running r_1, stepped once per level.  One Fraction is built per
 reported value, by ``exact._fraction(num, den)``, which needs den > 0
 and reduces by one gcd.  ``_refuse_level`` is entered only for a level
 that fails, to raise the refusal with its text: it decides the level's
@@ -101,10 +104,17 @@ class _Gate:
     """The rules of one gate, as data.
 
     The threshold on r_k at level m is (slope*m + offset(k))/k!, with
-    offset(k) = base - 2^k when ``dyadic`` and base otherwise.  A pass
-    yields ``conclusions``; the caller assertion named by ``assertion``
-    (a keyword of ``check_hypotheses``) adds ``asserted``.  The
-    certificate asserts the t2 bound at every level when
+    offset(k) = base - 2^k when ``dyadic`` and base otherwise.  k! times
+    it is the integer ``bound(m, k)``, which ``hypothesis_threshold``
+    reads; ``bounds(m)`` yields those integers for k = 1, 2, ..., which
+    the gate loops and the certificate's threshold inputs read
+    (``bounds(0)`` yields the offsets).  ``bound`` is kept beside
+    ``bounds`` because k is not bounded by m there, and reaching one k by
+    k doublings would cost O(k^2) bit operations.
+
+    A pass yields ``conclusions``; the caller assertion named by
+    ``assertion`` (a keyword of ``check_hypotheses``) adds ``asserted``.
+    The certificate asserts the t2 bound at every level when
     ``t2_every_level``, else only while i + 1 < m, and strictly (> 1)
     when ``t2_strict``.  With ``c1_aside`` the certificate's c1 keeps
     its top descent term aside.
@@ -127,18 +137,14 @@ class _Gate:
     t2_strict: bool
     c1_aside: bool
 
-    def offset(self, k: int) -> int:
-        return self.base - 2**k if self.dyadic else self.base
+    def bound(self, m: int, k: int) -> int:
+        """k! times the threshold on r_k at level m: slope*m + offset(k)."""
+        return self.slope * m + self.base - (2**k if self.dyadic else 0)
 
-    def offsets(self) -> Iterator[int]:
-        """offset(k) for k = 1, 2, ..., the power of two advanced by doubling."""
-        if not self.dyadic:
-            return repeat(self.base)
-        return map(sub, repeat(self.base), accumulate(repeat(2), mul, initial=2))
-
-    def threshold(self, m: int, k: int) -> Fraction:
-        """The threshold on r_k at level m: (slope*m + offset(k))/k!."""
-        return _fraction(self.slope * m + self.offset(k), factorial(k))
+    def bounds(self, m: int) -> Iterator[int]:
+        """bound(m, k) for k = 1, 2, ..., the power of two advanced by doubling."""
+        powers = accumulate(repeat(2), mul, initial=2) if self.dyadic else repeat(0)
+        return map(sub, repeat(self.slope * m + self.base), powers)
 
 
 _THM5_CONCLUSIONS = frozenset(
@@ -176,7 +182,7 @@ def hypothesis_threshold(theorem: str, m: int, k: int) -> Fraction:
     gate = _gate(theorem)
     _check_int(m, 1, "m must be >= 1")
     _check_int(k, 1, "k must be >= 1")
-    return gate.threshold(m, k)
+    return _fraction(gate.bound(m, k), factorial(k))
 
 
 class MarginRow(NamedTuple):
@@ -227,11 +233,15 @@ def check_thm5(
     projective m-spaces.  ``N_lower_ge_m`` needs the further caller
     assertion that every minimal family parametrizes degree-1 curves.
     """
-    _check_flag(strong, "strong")
     return check_hypotheses(
-        v, m, THM5_STRONG if strong else THM5,
-        all_families_degree_one=all_families_degree_one,
+        v, m, _thm5(strong), all_families_degree_one=all_families_degree_one
     )
+
+
+def _thm5(strong: bool) -> str:
+    """The gate ``strong`` names: thm5_strong when True, thm5 when False."""
+    _check_flag(strong, "strong")
+    return THM5_STRONG if strong else THM5
 
 
 def _checked_gate(v: SplitChernVector, m: int, theorem: str) -> _Gate:
@@ -267,11 +277,9 @@ def check_hypotheses(
     gate = _checked_gate(v, m, theorem)
     _check_flag(degree_one_cover, "degree_one_cover")
     _check_flag(all_families_degree_one, "all_families_degree_one")
-    slope_m = gate.slope * m
     rows, passed, fact = [], True, 1
-    for k, r, offset in zip(range(1, m + 1), v.scalars, gate.offsets()):
+    for k, r, bound in zip(range(1, m + 1), v.scalars, gate.bounds(m)):
         fact *= k
-        bound = slope_m + offset
         # r >= bound/k!, cross-multiplied (both denominators are positive).
         passed = passed and r._numerator * fact >= bound * r._denominator
         rows.append(MarginRow(k, _fraction(bound, fact), r))
@@ -299,9 +307,9 @@ def max_m(v: SplitChernVector, theorem: str) -> int:
     slope = gate.slope
     # The running minimum of slope*cap_k as num/den (den > 0), started at
     # the level bound dim; slope*cap_k = (r.numerator*k! -
-    # offset(k)*r.denominator) / r.denominator.
+    # offset(k)*r.denominator) / r.denominator, and offset(k) = bound(0, k).
     num, den, fact = slope * v.dim, 1, 1
-    for k, r, offset in zip(range(1, v.dim + 1), v.scalars, gate.offsets()):
+    for k, r, offset in zip(range(1, v.dim + 1), v.scalars, gate.bounds(0)):
         fact *= k
         r_den = r._denominator
         cap = r._numerator * fact - offset * r_den
@@ -448,8 +456,8 @@ def proof_trace(
     bound (r_1(i-1) - 2*delta)/2 and c1 margin r_1(i), less
     total/(i+1)! when c1 keeps its top descent term aside.
     The inputs enter as power sums k! * x_k over one common denominator,
-    once per certificate; at the thresholds (slope*m + offset(k))/k!
-    these are the integers slope*m + offset(k), over the denominator 1.
+    once per certificate; at the thresholds these are the integers
+    ``gate.bounds(m)``, over the denominator 1.
     Each bound and each closed form is an integer pair (numerator,
     denominator > 0); they are compared with each other and with the
     requirement by cross-multiplying, and each reported bound is one
@@ -480,14 +488,13 @@ def proof_trace(
         raise ValueError(
             f"gate {theorem} fails for m = {m}; no certificate can be issued"
         )
-    slope_m = gate.slope * m
-    total = slope_m + gate.base
+    total = gate.slope * m + gate.base
     # The m inputs as power sums over one common denominator, shared by
     # every level; level i reads at most i + 1 <= m of them.
     if at_actual:
         scaled, common = _over_common(v.scalars[:m])
     else:
-        scaled = [slope_m + offset for offset in islice(gate.offsets(), m)]
+        scaled = list(islice(gate.bounds(m), m))
         common = 1
     delta = 1 if gate.dyadic else 0
     # The top descent term kept aside is a positive class on its own, so
@@ -502,15 +509,14 @@ def proof_trace(
     every, strict = gate.t2_every_level, gate.t2_strict
     levels = []
     fact = 1  # (i+1)!
-    # r_1 of the threshold manifold's chain member i, one step of
-    # 1 + delta per level, and the closed forms p/q of the dimension and
-    # t2 bounds, (r_1(i-1) - 2)/1 and (r_1(i-1) - 2*delta)/2, advanced
-    # alongside it.
-    step = 1 + delta
+    # r_1 of the threshold manifold's chain member i - 1, stepped by
+    # 1 + delta per level to member i; the closed forms p/q of the
+    # dimension and t2 bounds, (r_1(i-1) - 2)/1 and (r_1(i-1) - 2*delta)/2,
+    # are read off it before the step.
     after = total - 2 * delta
-    dim_p, t2_p = after - 2, after - 2 * delta
     for i, (n, d, t2, t2_den, c1, c1_den) in enumerate(bounds, 1):
-        after -= step
+        dim_p, t2_p = after - 2, after - 2 * delta
+        after -= 1 + delta
         if aside:
             fact *= i + 1
             c1_p, c1_q = fact * after - total, fact
@@ -533,8 +539,6 @@ def proof_trace(
         dim_bound, c1_margin = _fraction(dim, d), _fraction(c1, c1_den)
         t2_bound = _fraction(t2, t2_den)
         levels.append(CertificateLevel(i, dim_bound, c1_margin, t2_bound, t2_asserted))
-        dim_p -= step
-        t2_p -= step
     mode = "actual" if at_actual else "threshold"
     return Certificate(theorem, m, mode, tuple(levels), all_positive=True)
 
@@ -577,5 +581,4 @@ def proof_trace_thm5(
     three by the larger thresholds (2m-2i, 2m-2i, m-i) and asserts the
     ch_2 bound >= 1 at every level, which pins every curve degree to 1.
     """
-    _check_flag(strong, "strong")
-    return proof_trace(v, m, THM5_STRONG if strong else THM5, table, at_actual)
+    return proof_trace(v, m, _thm5(strong), table, at_actual)

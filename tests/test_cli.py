@@ -42,6 +42,7 @@ GOLDEN_CASES = {
     ),
     "verify_minimal.txt": (["verify", "--max-i", "1"], 0),
     "chain_q5.txt": (["chain", "quadric", "5"], 0),
+    "chain_g25.txt": (["chain", "grassmannian", "2", "5"], 0),
     "check_p7_thm4_m7.txt": (["check", "projective_space", "7", "--theorem", "thm4", "--m", "7"], 0),
 }
 
@@ -94,7 +95,7 @@ def _sweep_argv() -> list[list[str]]:
     for n in range(1, 26):
         argv.append(["chain", "projective_space", str(n)])
         argv.append(["chain", "quadric", str(n)])
-    argv += [["chain", "grassmannian", str(k), str(m)] for k, m in [(1, 4), (2, 4), (2, 5), (3, 7)]]
+    argv += [["chain", "grassmannian", str(k), str(m)] for k, m in [(2, 6), (2, 4), (2, 5), (3, 7)]]
     argv += [
         ["chain", "quadric", "5", "--degrees", "1,1,1"],
         ["chain", "projective_space", "6", "--degrees", "2,1"],
@@ -209,6 +210,36 @@ def test_verify_shares_one_list_among_passing_depths():
     assert copy.results["reports"][0]["checks"] is not copy.results["reports"][1]["checks"]
     assert cli.render_verify(copy) == cli.render_verify(report)
     assert copy.to_json() == report.to_json()
+
+
+def test_verify_text_names_a_failing_composition_identity():
+    # Every depth passes, so the first failure is the composition identity's.
+    data = json.loads((GOLDEN / "verify_minimal.json").read_text())
+    data["results"]["composition_identity"] = {
+        "name": "composition_symmetric_identity",
+        "ok": False,
+        "discrepancies": [
+            {"location": "(k,n)=(2,5)", "expected": "4", "actual": "7/2", "diff": "-1/2"}
+        ],
+    }
+    data["results"]["all_ok"] = False
+    data["status"], data["exit_code"] = "fail", 1
+    report = RunReport.from_json(json.dumps(data))
+    assert cli.render_verify(report).splitlines()[-3:] == [
+        "  1      11      ok",
+        "composition/symmetric identity: FAIL",
+        "result: FAILED at composition_symmetric_identity (k,n)=(2,5): "
+        "expected 4, got 7/2 (diff -1/2)",
+    ]
+
+
+def test_check_text_reports_a_failed_certificate():
+    data = json.loads((GOLDEN / "check_p7_thm4_m7.json").read_text())
+    data["results"]["certificate"]["all_positive"] = False
+    text = cli.render_check(RunReport.from_json(json.dumps(data)))
+    golden = (GOLDEN / "check_p7_thm4_m7.txt").read_text().rstrip("\n")
+    assert "certificate: all bounds positive" in golden.splitlines()
+    assert text == golden.replace("certificate: all bounds positive", "certificate: FAILED")
 
 
 def test_verify_gives_each_failing_depth_its_own_list():

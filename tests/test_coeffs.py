@@ -60,6 +60,12 @@ def test_polynomial_normalization_and_degree():
     assert Polynomial([1, 2]).coefficient(5) == 0
 
 
+def test_polynomial_repr():
+    assert repr(Polynomial()) == "Polynomial(0)"
+    assert repr(Polynomial([0, 0])) == "Polynomial(0)"
+    assert repr(Polynomial([1, 0, Fraction(-1, 2)])) == "Polynomial(1 + -1/2*t^2)"
+
+
 def test_polynomial_arithmetic():
     # The test-side product and evaluation that the oracles rely on.
     p, q = [1, 2], [0, 0, 3]  # 1 + 2t, 3t^2

@@ -91,7 +91,9 @@ def test_vector_rejects_float_and_bool_scalars(bad):
 
 
 # Each entry that takes a sequence of numbers refuses a str or bytes, which
-# would otherwise be read character by character or byte by byte.
+# would otherwise be read character by character or byte by byte, and a set
+# or a mapping, read in the set's own order (the vector {3, 1, 2} became
+# (1, 2, 3)) or as the mapping's keys.
 @pytest.mark.parametrize(
     "call, text",
     [
@@ -108,12 +110,40 @@ def test_vector_rejects_float_and_bool_scalars(bad):
             lambda: catalogue("projective_space", b"\x04"),
             "params must be a sequence of numbers, got bytes",
         ),
+        (lambda: SplitChernVector({3, 1, 2}), "scalars must be a sequence of numbers, got set"),
+        (
+            lambda: SplitChernVector(frozenset({1, 2})),
+            "scalars must be a sequence of numbers, got frozenset",
+        ),
+        (
+            lambda: SplitChernVector({3: 0, 1: 0}.keys()),
+            "scalars must be a sequence of numbers, got dict_keys",
+        ),
+        (lambda: iterate_scalar({1, 2, 3}, 1, 1), "x must be a sequence of numbers, got set"),
+        (lambda: CoeffTable({1: "a"}), "bernoulli must be a sequence of numbers, got dict"),
+        (
+            lambda: descend_chain(projective_space(4).vector, {1: "x", 2: "y"}),
+            "degrees must be a sequence of numbers, got dict",
+        ),
+        (
+            lambda: catalogue("projective_space", {4}),
+            "params must be a sequence of numbers, got set",
+        ),
     ],
-    ids=["vector-str", "vector-bytes", "iterate_scalar", "dot", "table", "chain", "catalogue"],
+    ids=[
+        "vector-str", "vector-bytes", "iterate_scalar", "dot", "table", "chain", "catalogue",
+        "vector-set", "vector-frozenset", "vector-dict-keys", "iterate_scalar-set",
+        "table-dict", "chain-dict", "catalogue-set",
+    ],
 )
 def test_sequence_entries_refuse_str_and_bytes(call, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         call()
+
+
+def test_sequence_entries_take_generators_in_their_order():
+    assert SplitChernVector(x for x in (3, 1, 2)).scalars == (3, 1, 2)
+    assert catalogue("projective_space", (n for n in [4])).label == "P^4"
 
 
 def test_vector_accepts_exact_scalars():
@@ -497,6 +527,22 @@ def test_catalogue_grassmannian():
     assert entry.chains[1] == ("G(2,5)", "P^1xP^2", "P^1", "pt")
 
 
+def test_grassmannian_chains_have_as_many_steps_as_their_invariants():
+    accepted = 0
+    for m in range(2, 13):
+        for k in range(1, m):
+            try:
+                entry = grassmannian(k, m)
+            except ValueError:
+                assert k in (1, m - 1)
+                continue
+            accepted += 1
+            steps = sorted(len(chain) - 1 for chain in entry.chains)
+            assert steps == [entry.n_lower, entry.n_upper], (k, m)
+            assert all(chain[0] == entry.label and chain[-1] == "pt" for chain in entry.chains)
+    assert accepted == sum(m - 3 for m in range(4, 13))
+
+
 def test_catalogue_validation():
     with pytest.raises(ValueError):
         catalogue("flag_variety", [2])
@@ -522,6 +568,11 @@ _FAMILIES = "choose from projective_space, quadric, grassmannian"
         ("quadric", (3, 7), "quadric takes 1 integer parameter(s), got 2"),
         ("grassmannian", [2], "grassmannian takes 2 integer parameter(s), got 1"),
         ("grassmannian", [2, 5, 1], "grassmannian takes 2 integer parameter(s), got 3"),
+        # G(1, m) and G(m-1, m) are P^{m-1}, whose first family P^{m-2} is split.
+        ("grassmannian", [1, 2], "G(1,2) is the projective space P^1; use projective_space(1)"),
+        ("grassmannian", [1, 4], "G(1,4) is the projective space P^3; use projective_space(3)"),
+        ("grassmannian", [3, 4], "G(3,4) is the projective space P^3; use projective_space(3)"),
+        ("grassmannian", [6, 7], "G(6,7) is the projective space P^6; use projective_space(6)"),
     ],
 )
 def test_catalogue_refusal_texts(name, params, message):

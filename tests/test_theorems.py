@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd
 
 import pytest
@@ -64,6 +65,29 @@ def test_thresholds():
         hypothesis_threshold("thm6", 2, 1)
     # k is not bounded by m.
     assert hypothesis_threshold(THM4, 2, 5) == Fraction(3, 120)
+
+
+# The paper's thresholds on r_k at level m, each as k! times the threshold.
+_PAPER_NUMERATORS = {
+    THM4: lambda m, k: m + 1,
+    THM5: lambda m, k: 2 * m + 1 - 2**k,
+    THM5_STRONG: lambda m, k: 2 * m + 2 - 2**k,
+}
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_threshold_forms_agree_with_each_other_and_the_paper(theorem):
+    # bound(m, k) is the direct form, bounds(m) the doubling walk; m = 0 gives
+    # the offsets that max_m reads.
+    gate, paper = _GATES[theorem], _PAPER_NUMERATORS[theorem]
+    ks = range(1, 61)
+    for m in range(41):
+        walked = list(islice(gate.bounds(m), len(ks)))
+        assert walked == [gate.bound(m, k) for k in ks], m
+        assert walked == [paper(m, k) for k in ks], m
+        if m:
+            thresholds = [hypothesis_threshold(theorem, m, k) for k in ks]
+            assert thresholds == [Fraction(paper(m, k), factorial(k)) for k in ks], m
 
 
 @pytest.mark.parametrize(
